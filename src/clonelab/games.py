@@ -30,8 +30,8 @@ from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping
 
 from .clones import clone_metric
-from .profiles import Profile, remove_candidates, restrict, summarize
-from .pqtree import PQNode, build_pqtree
+from .profiles import Profile, remove_candidates, restrict
+from .pqtree import PQNode, _child_summary, _reading_order, build_pqtree
 from .transform import resolve_rule, rule_label
 
 __all__ = [
@@ -168,13 +168,6 @@ class PlayResult:
     asked: frozenset[str]
 
 
-def _oriented(node: PQNode, children: list[PQNode]) -> list[PQNode]:
-    """Stored-order children reordered into the node's majority reading."""
-    if node.orientation == "reverse" and not node.tie:
-        return children[::-1]
-    return children
-
-
 def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
     """Play the staged game under a full action profile.
 
@@ -197,31 +190,22 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
         asked.add(c)
         return actions[c] == RUN
 
-    def node_summary(node: PQNode, gone: set[str]) -> Profile | None:
-        packed = summarize(
-            restrict(profile, node.members), [c.members for c in node.children]
-        )
-        alive = [name for name in packed.candidates if name not in gone]
-        if not alive:
-            return None
-        return remove_candidates(packed, gone)
-
     def process(node: PQNode) -> str | None:
         if node.is_leaf:  # degenerate one-candidate game
             (c,) = node.members
             return c if ask(node) else None
         gone: set[str] = set()  # names of children with nobody left standing
         while True:
-            alive = [ch for ch in node.children if ch.name not in gone]
+            alive = [ch for ch in _reading_order(node) if ch.name not in gone]
             if not alive:
                 return None
             if node.kind == "P":
                 for ch in alive:
                     if ch.is_leaf and not ask(ch):
                         gone.add(ch.name)
-                packed = node_summary(node, gone)
-                if packed is None:
+                if len(gone) == len(node.children):
                     return None
+                packed = remove_candidates(_child_summary(profile, node.children), gone)
                 block = _single_winner(f, packed, f"blocks of {sorted(node.members)}")
                 chosen = next(ch for ch in node.children if ch.name == block)
                 if chosen.is_leaf:
@@ -233,15 +217,14 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
                 continue
             # Q node: compare the first two alive blocks in majority order,
             # then walk from the designated end.
-            reading = _oriented(node, alive)
-            if len(reading) == 1:
-                walk = reading
+            if len(alive) == 1:
+                walk = alive
             else:
-                packed = node_summary(node, gone)
-                assert packed is not None
-                pair = restrict(packed, {reading[0].name, reading[1].name})
+                pair = restrict(
+                    _child_summary(profile, node.children), {alive[0].name, alive[1].name}
+                )
                 block = _single_winner(f, pair, f"blocks of {sorted(node.members)}")
-                walk = reading if block == reading[0].name else reading[::-1]
+                walk = alive if block == alive[0].name else alive[::-1]
             restart = False
             for ch in walk:
                 if ch.is_leaf:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .clones import CloneDecomposition, canonical_decomposition, clone_structure
 from .profiles import Profile, block_name, restrict, summarize
@@ -88,14 +89,10 @@ def _block_sequence(ranking, blocks: list[frozenset[str]]) -> list[int]:
     return seq
 
 
-def _last_place_counts(profile: Profile, blocks: list[frozenset[str]]) -> dict[str, int]:
-    """How many voters rank each block behind every other block here."""
-    node_members = frozenset().union(*blocks)
-    packed = summarize(restrict(profile, node_members), blocks)
-    counts = {name: 0 for name in packed.candidates}
-    for ranking, mult in packed.groups:
-        counts[ranking[-1]] += mult
-    return counts
+def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
+    """The profile restricted to a node, each child block collapsed to its name."""
+    blocks = [child.members for child in children]
+    return summarize(restrict(profile, frozenset().union(*blocks)), blocks)
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +133,12 @@ def build_pqtree(profile: Profile) -> PQNode:
                 orientation="forward" if forward >= backward else "reverse",
                 tie=forward == backward,
             )
-        last_counts = _last_place_counts(profile, child_sets)
-        child_sets.sort(key=lambda s: (last_counts[block_name(s)], block_name(s)))
-        return PQNode(members=members, kind="P", children=tuple(build(s) for s in child_sets))
+        children = [build(s) for s in child_sets]
+        last_counts = {child.name: 0 for child in children}
+        for ranking, mult in _child_summary(profile, children).groups:
+            last_counts[ranking[-1]] += mult  # voters ranking that block last here
+        children.sort(key=lambda child: (last_counts[child.name], child.name))
+        return PQNode(members=members, kind="P", children=tuple(children))
 
     return build(frozenset(profile.candidates))
 
@@ -150,20 +150,22 @@ def decomp(node: PQNode) -> CloneDecomposition:
     return canonical_decomposition(child.members for child in node.children)
 
 
-def ordered_child(node: PQNode, i: int) -> PQNode:
-    """The i-th child (1-based) of a Q node in majority reading order.
+def _reading_order(node: PQNode) -> tuple[PQNode, ...]:
+    """The node's children in majority reading order: stored order unless a
+    strict majority reads the string back-to-front."""
+    if node.orientation == "reverse" and not node.tie:
+        return node.children[::-1]
+    return node.children
 
-    Stored order is used when the majority agrees with it or the vote is
-    tied; otherwise the stored order is read back-to-front.
-    """
+
+def ordered_child(node: PQNode, i: int) -> PQNode:
+    """The i-th child (1-based) of a Q node in majority reading order."""
     if node.kind != "Q":
         raise ValueError(f"ordered_child applies to Q nodes, not {node.kind!r}")
     k = len(node.children)
     if not 1 <= i <= k:
         raise IndexError(f"child index {i} out of range 1..{k}")
-    if node.orientation == "forward" or node.tie:
-        return node.children[i - 1]
-    return node.children[k - i]
+    return _reading_order(node)[i - 1]
 
 
 def internal_nodes(node: PQNode) -> list[PQNode]:

@@ -110,13 +110,21 @@ class Profile:
 # text format
 
 
+def _reject_reserved(lineno: int, names: Iterable[str]) -> None:
+    """Refuse '+' in names: :func:`block_name` joins block members with it."""
+    for c in names:
+        if "+" in c:
+            raise ProfileParseError(f"line {lineno}: '+' in candidate {c!r} is reserved for blocks")
+
+
 def parse_profile(text: str) -> Profile:
     """Parse profile text into a :class:`Profile`.
 
     Raises:
         ProfileParseError: on an empty file, malformed line, non-positive
-            multiplicity, or any candidate mismatch between ballots and the
-            declared (or inferred) candidate list.
+            multiplicity, a candidate name containing the reserved ``+``, or
+            any candidate mismatch between ballots and the declared (or
+            inferred) candidate list.
     """
     header: tuple[str, ...] | None = None
     raw_groups: list[tuple[Ranking, int]] = []
@@ -128,6 +136,7 @@ def parse_profile(text: str) -> Profile:
             names = [c.strip() for c in line.split(":", 1)[1].split(",")]
             if any(not c for c in names):
                 raise ProfileParseError(f"line {lineno}: empty candidate name in header")
+            _reject_reserved(lineno, names)
             header = tuple(names)
             continue
         if ":" not in line:
@@ -142,6 +151,7 @@ def parse_profile(text: str) -> Profile:
         ranking = tuple(c.strip() for c in ballot_part.split(">"))
         if any(not c for c in ranking):
             raise ProfileParseError(f"line {lineno}: empty candidate name in ballot")
+        _reject_reserved(lineno, ranking)
         raw_groups.append((ranking, mult))
 
     if not raw_groups:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .profiles import Profile, majority_matrix, restrict
 
 WinnerSet = frozenset[str]
@@ -309,24 +307,37 @@ class StrengthMatrix:
         return dict(self._strengths)
 
 
-def strength_matrix(profile: Profile) -> StrengthMatrix:
-    """Max over paths a→b of the path's smallest margin; 0 with no path."""
+def _margin_rows(profile: Profile) -> list[list[int]]:
+    """Majority margins as rows indexed like ``profile.candidates``."""
     m = majority_matrix(profile)
     cands = profile.candidates
-    s = {
-        (a, b): (m.margin(a, b) if m.margin(a, b) > 0 else 0)
-        for a in cands
-        for b in cands
-        if a != b
-    }
-    for k in cands:
-        for a in cands:
-            for b in cands:
-                if a != b != k != a:
-                    through = min(s[(a, k)], s[(k, b)])
-                    if through > s[(a, b)]:
-                        s[(a, b)] = through
-    return StrengthMatrix(candidates=cands, _strengths=s)
+    return [[m.margin(a, b) for b in cands] for a in cands]
+
+
+def _widest_paths(margins: list[list[int]]) -> list[list[int]]:
+    """Max over paths a→b of the path's smallest positive margin; 0 with no path.
+
+    Floyd–Warshall, skipping each ``k`` that ``a`` cannot reach (it widens nothing).
+    """
+    s = [[w if w > 0 else 0 for w in row] for row in margins]
+    for k, sk in enumerate(s):
+        for a, sa in enumerate(s):
+            sak = sa[k]
+            if sak == 0:
+                continue
+            for b, skb in enumerate(sk):
+                through = sak if sak < skb else skb
+                if through > sa[b] and b != a:
+                    sa[b] = through
+    return s
+
+
+def strength_matrix(profile: Profile) -> StrengthMatrix:
+    """Max over paths a→b of the path's smallest margin; 0 with no path."""
+    cands = profile.candidates
+    s = _widest_paths(_margin_rows(profile))
+    pairs = {(a, b): s[i][j] for i, a in enumerate(cands) for j, b in enumerate(cands) if i != j}
+    return StrengthMatrix(candidates=cands, _strengths=pairs)
 
 
 def beatpath(profile: Profile) -> WinnerSet:
@@ -339,51 +350,52 @@ def beatpath(profile: Profile) -> WinnerSet:
     )
 
 
-def _margin_digraph(profile: Profile, minimum: int = 1) -> nx.DiGraph:
-    m = majority_matrix(profile)
-    g = nx.DiGraph()
-    g.add_nodes_from(profile.candidates)
-    for a in profile.candidates:
-        for b in profile.candidates:
-            if a != b and m.margin(a, b) >= minimum:
-                g.add_edge(a, b, margin=m.margin(a, b))
-    return g
-
-
 def split_cycle(profile: Profile) -> WinnerSet:
-    """Discard each cycle's weakest defeats simultaneously; undefeated win."""
-    g = _margin_digraph(profile, minimum=1)
-    doomed = set()
-    for cycle in nx.simple_cycles(g):
-        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        weakest = min(g.edges[e]["margin"] for e in arcs)
-        doomed |= {e for e in arcs if g.edges[e]["margin"] == weakest}
-    g.remove_edges_from(doomed)
-    return frozenset(c for c in g if g.in_degree(c) == 0)
+    """Discard each cycle's weakest defeats simultaneously; undefeated win.
+
+    A defeat a→b is the weakest link of some cycle exactly when a path from b
+    back to a is at least as wide as margin(a, b), so it survives when its
+    margin exceeds the widest-path strength from b to a (Holliday & Pacuit,
+    *Split Cycle*, Public Choice 2023).
+    """
+    margins = _margin_rows(profile)
+    s = _widest_paths(margins)
+    return frozenset(
+        c
+        for b, c in enumerate(profile.candidates)
+        if all(row[b] <= s[b][a] for a, row in enumerate(margins))
+    )
+
+
+def _source_components(profile: Profile, minimum: int) -> WinnerSet:
+    """Union of the source components of the ``margin >= minimum`` digraph:
+    the candidates that reach back everyone who reaches them."""
+    reach = [  # bit b of reach[a] is set when a reaches b
+        sum(1 << b for b, w in enumerate(row) if w >= minimum and b != a)
+        for a, row in enumerate(_margin_rows(profile))
+    ]
+    for k, rk in enumerate(reach):
+        for a, ra in enumerate(reach):
+            if ra >> k & 1:
+                reach[a] = ra | rk
+    return frozenset(
+        c
+        for a, c in enumerate(profile.candidates)
+        if all(reach[a] >> b & 1 for b, rb in enumerate(reach) if rb >> a & 1 and b != a)
+    )
 
 
 def smith(profile: Profile) -> WinnerSet:
     """Smallest set whose members beat every outsider head-to-head.
 
-    Computed as the top strongly-connected component of the beats-or-ties
-    digraph; completeness of that relation makes the top component unique.
+    Beats-or-ties is complete, so its digraph has exactly one source component.
     """
-    g = _margin_digraph(profile, minimum=0)
-    cond = nx.condensation(g)
-    tops = [n for n in cond if cond.in_degree(n) == 0]
-    if len(tops) != 1:
-        raise AssertionError("beats-or-ties digraph must have a unique top component")
-    return frozenset(cond.nodes[tops[0]]["members"])
+    return _source_components(profile, 0)
 
 
 def schwartz(profile: Profile) -> WinnerSet:
     """Union of the undominated components of the strict-defeat digraph."""
-    cond = nx.condensation(_margin_digraph(profile, minimum=1))
-    out: set[str] = set()
-    for n in cond:
-        if cond.in_degree(n) == 0:
-            out |= cond.nodes[n]["members"]
-    return frozenset(out)
+    return _source_components(profile, 1)
 
 
 def alt_smith(profile: Profile) -> WinnerSet:

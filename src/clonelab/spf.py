@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from . import scf
 from .clones import EnumerationCapExceeded
 from .profiles import Profile, Ranking, restrict, reverse_profile
 from .scf import (
@@ -243,59 +244,77 @@ def rp_n_star(profile: Profile) -> RankingSet:
 # registry
 
 
-SPF_IDS = (
-    "bp*",
-    "nr",
-    "nnr_i:<i>",
-    "nr_i:<i>",
-    "rp*",
-    "rp_i:<i>*",
-    "rp_n*",
-    "stv*",
-    "stv_i:<i>",
-)
+_RULES: dict[tuple[str, str], tuple[Callable, str | None]] = {
+    ("scf", "as"): (scf.alt_smith, None),
+    ("scf", "bp"): (scf.beatpath, None),
+    ("scf", "pv"): (scf.pv, None),
+    ("scf", "rp"): (scf.rp_put, None),
+    ("scf", "rp_n"): (scf.rp_n, None),
+    ("scf", "sc"): (scf.split_cycle, None),
+    ("scf", "schwartz"): (scf.schwartz, None),
+    ("scf", "smith"): (scf.smith, None),
+    ("scf", "stv"): (scf.stv, None),
+    ("scf", "ucf"): (scf.uc_fishburn, None),
+    ("scf", "ucg"): (scf.uc_gillies, None),
+    ("scf", "rp_i"): (scf.rp_i, ""),
+    ("scf", "stv_i"): (scf.stv_i, ""),
+    ("spf", "bp*"): (bp_star, None),
+    ("spf", "nr"): (nr_star, None),
+    ("spf", "nnr_i"): (nnr_i_star, ""),
+    ("spf", "nr_i"): (nr_i_star, ""),
+    ("spf", "rp*"): (rp_star, None),
+    ("spf", "rp_i"): (rp_i_star, "*"),
+    ("spf", "rp_n*"): (rp_n_star, None),
+    ("spf", "stv*"): (stv_star, None),
+    ("spf", "stv_i"): (stv_i_star, ""),
+}
+"""The one rule-id registry: (kind, id) → (rule, suffix after ``:<i>``), kind
+``scf`` for winner rules and ``spf`` for ranking rules; the suffix is ``None``
+for plain ids, and voter-indexed rules take the index as a second argument."""
+
+def _rule_ids(kind: str) -> tuple[str, ...]:
+    """Printable ids of one kind, indexed ones written ``<id>:<i><suffix>``."""
+    return tuple(
+        rid if suffix is None else f"{rid}:<i>{suffix}"
+        for (k, rid), (_, suffix) in _RULES.items()
+        if k == kind
+    )
+
+
+def _resolve_id(kind: str, rule_id: str) -> Callable:
+    """The rule of ``kind`` named ``rule_id``, with ``<id>:<i>`` binding voter i."""
+    label = "rule id" if kind == "scf" else "ranking rule id"
+    name = rule_id.strip()
+    head, sep, tail = name.partition(":")
+    fn, suffix = _RULES.get((kind, head), (None, None))
+    if fn is not None and not sep and suffix is None:
+        return fn
+    if sep and suffix is not None:
+        if suffix and not tail.endswith(suffix):
+            raise ValueError(f"unknown {label} {rule_id!r} (did you mean {name}{suffix}?)")
+        digits = tail[: len(tail) - len(suffix)]
+        try:
+            i = int(digits)
+        except ValueError:
+            raise ValueError(f"bad voter index {digits!r} in {label} {rule_id!r}") from None
+        if i < 1:
+            raise ValueError(f"voter index must be >= 1 in {label} {rule_id!r}")
+        def indexed(profile: Profile, _f=fn, _i=i):
+            return _f(profile, _i)
+        indexed.__name__ = name.replace(":", "_").replace("*", "_star")
+        return indexed
+    raise ValueError(f"unknown {label} {rule_id!r} (known: {', '.join(_rule_ids(kind))})")
+
+
+SPF_IDS = _rule_ids("spf")
 """Accepted ranking-rule identifiers."""
-
-_PLAIN_SPFS: dict[str, Spf] = {
-    "stv*": stv_star,
-    "bp*": bp_star,
-    "rp*": rp_star,
-    "rp_n*": rp_n_star,
-    "nr": nr_star,
-}
-
-_INDEXED_SPFS = {
-    "rp_i": (rp_i_star, "*"),
-    "stv_i": (stv_i_star, ""),
-    "nr_i": (nr_i_star, ""),
-    "nnr_i": (nnr_i_star, ""),
-}
 
 
 def resolve_spf(spf: str | Spf) -> Spf:
     """Turn a ranking-rule id into a callable; callables pass through."""
     if callable(spf):
         return spf
-    name = spf.strip()
-    if name in _PLAIN_SPFS:
-        return _PLAIN_SPFS[name]
-    head, sep, tail = name.partition(":")
-    if sep and head in _INDEXED_SPFS:
-        fn, suffix = _INDEXED_SPFS[head]
-        if suffix and not tail.endswith("*"):
-            raise ValueError(f"unknown ranking rule id {spf!r} (did you mean {name}*?)")
-        digits = tail[: len(tail) - len(suffix)] if suffix else tail
-        try:
-            i = int(digits)
-        except ValueError:
-            raise ValueError(f"bad voter index {digits!r} in ranking rule id {spf!r}") from None
-        if i < 1:
-            raise ValueError(f"voter index must be >= 1 in ranking rule id {spf!r}")
-        def indexed(profile: Profile, _f=fn, _i=i) -> RankingSet:
-            return _f(profile, _i)
-        indexed.__name__ = name.replace(":", "_").replace("*", "_star")
-        return indexed
-    raise ValueError(f"unknown ranking rule id {spf!r} (known: {', '.join(SPF_IDS)})")
+    return _resolve_id("spf", spf)
 
 
 def spf_to_scf(spf: str | Spf) -> Callable[[Profile], WinnerSet]:

@@ -22,10 +22,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from . import scf
 from .profiles import Profile, block_name, restrict, summarize
-from .pqtree import build_pqtree, ordered_child
+from .pqtree import _child_summary, _reading_order, build_pqtree
 from .scf import WinnerSet
+from .spf import _resolve_id, _rule_ids
 
 __all__ = [
     "RULE_IDS",
@@ -37,30 +37,16 @@ __all__ = [
 
 Rule = Callable[[Profile], WinnerSet]
 
-_BASE_RULES: dict[str, Rule] = {
-    "pv": scf.pv,
-    "stv": scf.stv,
-    "rp": scf.rp_put,
-    "rp_n": scf.rp_n,
-    "bp": scf.beatpath,
-    "sc": scf.split_cycle,
-    "smith": scf.smith,
-    "schwartz": scf.schwartz,
-    "as": scf.alt_smith,
-    "ucg": scf.uc_gillies,
-    "ucf": scf.uc_fishburn,
-}
-
-RULE_IDS = tuple(sorted(_BASE_RULES)) + ("rp_i:<i>", "stv_i:<i>")
+RULE_IDS = _rule_ids("scf")
 """Accepted rule identifiers; any id also takes a ``^cc`` suffix."""
 
 
 def resolve_rule(rule: str | Rule) -> Rule:
     """Turn a rule id into a callable; callables pass through unchanged.
 
-    Ids are the keys of the base table, optionally voter-indexed
-    (``rp_i:2``, ``stv_i:1``) and optionally wrapped by the transform with a
-    ``^cc`` suffix (``stv^cc``, ``rp_i:1^cc``).
+    Ids are the winner-rule ids of the registry in :mod:`clonelab.spf`,
+    optionally voter-indexed (``rp_i:2``, ``stv_i:1``) and optionally wrapped
+    by the transform with a ``^cc`` suffix (``stv^cc``, ``rp_i:1^cc``).
     """
     if callable(rule):
         return rule
@@ -71,22 +57,7 @@ def resolve_rule(rule: str | Rule) -> Rule:
             return cc_transform(_inner, profile)
         transformed.__name__ = f"{name.replace(':', '_').replace('^', '_')}"
         return transformed
-    if name in _BASE_RULES:
-        return _BASE_RULES[name]
-    head, sep, tail = name.partition(":")
-    if sep and head in ("rp_i", "stv_i"):
-        try:
-            i = int(tail)
-        except ValueError:
-            raise ValueError(f"bad voter index {tail!r} in rule id {rule!r}") from None
-        if i < 1:
-            raise ValueError(f"voter index must be >= 1 in rule id {rule!r}")
-        base = scf.rp_i if head == "rp_i" else scf.stv_i
-        def indexed(profile: Profile, _f=base, _i=i) -> WinnerSet:
-            return _f(profile, _i)
-        indexed.__name__ = name.replace(":", "_")
-        return indexed
-    raise ValueError(f"unknown rule id {rule!r} (known: {', '.join(RULE_IDS)})")
+    return _resolve_id("scf", rule)
 
 
 def rule_label(rule: str | Rule) -> str:
@@ -127,9 +98,7 @@ def cc_transform(
         if node.is_leaf:
             winners |= node.members
             continue
-        packed = summarize(
-            restrict(profile, node.members), [c.members for c in node.children]
-        )
+        packed = _child_summary(profile, node.children)
         if node.kind == "P":
             seen = packed
             chosen = f(seen)
@@ -137,14 +106,13 @@ def cc_transform(
                 if child.name in chosen:
                     queue.append(child)
         else:
-            first = ordered_child(node, 1)
-            second = ordered_child(node, 2)
-            seen = restrict(packed, {first.name, second.name})
+            reading = _reading_order(node)
+            seen = restrict(packed, {reading[0].name, reading[1].name})
             chosen = f(seen)
-            if chosen == frozenset({first.name}):
-                queue.append(first)
-            elif chosen == frozenset({second.name}):
-                queue.append(ordered_child(node, len(node.children)))
+            if chosen == frozenset({reading[0].name}):
+                queue.append(reading[0])
+            elif chosen == frozenset({reading[1].name}):
+                queue.append(reading[-1])
             else:
                 queue.extend(node.children)
         if trace is not None:

@@ -65,6 +65,33 @@ def brute_schwartz(profile: Profile) -> frozenset[str]:
     return frozenset(out)
 
 
+def brute_split_cycle(profile: Profile) -> frozenset[str]:
+    """Enumerate every simple cycle of positive margins by depth-first search,
+    drop each cycle's weakest arcs, and keep the candidates left undefeated."""
+    m = majority_matrix(profile)
+    cands = list(profile.candidates)
+    doomed: set[tuple[str, str]] = set()
+
+    def extend(path: list[str]) -> None:
+        for nxt in cands:
+            if m.margin(path[-1], nxt) <= 0:
+                continue
+            if nxt == path[0]:
+                arcs = list(zip(path, path[1:] + path[:1]))
+                weakest = min(m.margin(a, b) for a, b in arcs)
+                doomed.update(e for e in arcs if m.margin(*e) == weakest)
+            elif nxt not in path and cands.index(nxt) > cands.index(path[0]):
+                extend(path + [nxt])  # each cycle once, from its first member
+
+    for start in cands:
+        extend([start])
+    return frozenset(
+        c
+        for c in cands
+        if not any(m.margin(d, c) > 0 and (d, c) not in doomed for d in cands)
+    )
+
+
 def brute_path_strength(profile: Profile, a: str, b: str) -> int:
     """Widest path by enumerating every simple path over positive margins."""
     m = majority_matrix(profile)

@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clonelab
 from clonelab.cli import main
 from clonelab.profiles import load_fixture, serialize_profile
 
@@ -170,3 +175,23 @@ def test_output_is_deterministic(capsys, profile_path):
     t1 = run(capsys, "pqtree", profile_path("P1"), "--json")
     t2 = run(capsys, "pqtree", profile_path("P1"), "--json")
     assert t1 == t2
+
+
+def test_networkx_is_never_imported():
+    """Importing the package and running Split Cycle loads no networkx."""
+    package = Path(clonelab.__file__).resolve().parent
+    p3 = package / "fixtures" / "P3.profile"
+    script = (
+        "import sys\n"
+        "import clonelab\n"
+        "from clonelab.cli import main\n"
+        f"code = main(['winners', {str(p3)!r}, '--rule', 'sc'])\n"
+        "print('networkx' in sys.modules, code)\n"
+    )
+    path = [str(package.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a1,a2", "False 0"]

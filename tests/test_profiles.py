@@ -47,6 +47,7 @@ def test_parse_comments_and_blank_lines():
         "candidates: a,a\n1: a>a\n",         # duplicate candidate
         "candidates: a,b\nx: a>b\n",         # malformed multiplicity
         "candidates: a,b\n1: a>a\n",         # repeated in ranking
+        "candidates: a,b,a+b,c\n1: a>b>a+b>c\n1: a+b>c>b>a\n1: c>a>b>a+b\n",  # '+' names blocks
     ],
 )
 def test_parse_rejects(text):

@@ -32,6 +32,7 @@ from oracles import (
     brute_path_strength,
     brute_schwartz,
     brute_smith,
+    brute_split_cycle,
     is_strict_stack,
     is_weak_stack,
     literal_ranked_pairs_orders,
@@ -175,6 +176,11 @@ def test_smith_matches_brute_force(corpus):
 def test_schwartz_matches_brute_force(corpus):
     for p in corpus:
         assert schwartz(p) == brute_schwartz(p)
+
+
+def test_split_cycle_matches_brute_force(corpus):
+    for p in corpus:
+        assert split_cycle(p) == brute_split_cycle(p), p
 
 
 def test_rp_i_is_the_unique_strict_stack(corpus):
