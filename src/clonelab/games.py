@@ -20,17 +20,21 @@ Two game forms share these utilities:
   again among the remaining blocks.
 
 Rules must be decisive (a single winner on every non-empty restriction);
-this is enforced when the game is built.
+this is enforced when the game is built.  The winners found then are kept on
+the game, with the clone distances of the profile, so a game costs 2^m − 1
+rule calls to build, the one-shot form makes no further call, and the staged
+form adds one call per distinct node decision: each play and each decision
+is recorded on the game the first time it is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping
 
-from .clones import clone_metric
-from .profiles import Profile, remove_candidates, restrict
+from .clones import clone_structure
+from .profiles import Profile, restrict
 from .pqtree import PQNode, _child_summary, _reading_order, build_pqtree
 from .transform import resolve_rule, rule_label
 
@@ -65,6 +69,21 @@ def _single_winner(f: Callable, profile: Profile, where: str) -> str:
     return w
 
 
+def _record():
+    """A private per-game dict, left out of ``__init__``, repr, equality and
+    hashing, so it goes away with the game."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class PlayResult:
+    """Outcome of one staged play: the winner (None if everyone standing
+    dropped) and exactly the candidates who were asked."""
+
+    winner: str | None
+    asked: frozenset[str]
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A candidacy game: profile, decisive rule, and form ("gamma" = one-shot,
@@ -73,6 +92,11 @@ class GameSpec:
     profile: Profile
     rule: str | Callable
     form: str = "gamma"
+    _winners: dict[frozenset[str], str] = _record()  # field -> winner
+    _distance: dict[tuple[str, str], int] = _record()  # (a, b) -> clone distance
+    _plays: dict[frozenset[str], PlayResult] = _record()  # runners -> staged play
+    # (node members, names of the blocks shown to the rule) -> chosen block
+    _decisions: dict[tuple[frozenset[str], frozenset[str]], str] = _record()
 
     def __post_init__(self) -> None:
         if self.form not in ("gamma", "lambda"):
@@ -81,9 +105,15 @@ class GameSpec:
         cands = self.profile.candidates
         for size in range(1, len(cands) + 1):
             for subset in combinations(cands, size):
-                _single_winner(
+                self._winners[frozenset(subset)] = _single_winner(
                     f, restrict(self.profile, subset), f"candidates {list(subset)}"
                 )
+        # as clones.clone_metric: one less than the smallest clone set holding
+        # both, so larger sets are written first and smaller ones overwrite them
+        for k in sorted(clone_structure(self.profile), key=len, reverse=True):
+            for a in k:
+                for b in k:
+                    self._distance[a, b] = len(k) - 1
 
     @property
     def rule_name(self) -> str:
@@ -97,9 +127,11 @@ def utility(game: GameSpec, a: str, field: Iterable[str]) -> int:
         raise ValueError(f"unknown candidate {a!r}")
     if not standing:
         return 0
-    f = resolve_rule(game.rule)
-    winner = _single_winner(f, restrict(game.profile, standing), f"candidates {sorted(standing)}")
-    return game.profile.m - clone_metric(game.profile, a, winner)
+    winner = game._winners.get(standing)
+    if winner is None:
+        unknown = standing - set(game.profile.candidates)
+        raise ValueError(f"unknown candidate(s) {sorted(unknown)} in the field")
+    return game.profile.m - game._distance[a, winner]
 
 
 def _opponent_fields(game: GameSpec, a: str):
@@ -159,15 +191,6 @@ def gamma_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | N
 # staged form
 
 
-@dataclass(frozen=True)
-class PlayResult:
-    """Outcome of one staged play: the winner (None if everyone standing
-    dropped) and exactly the candidates who were asked."""
-
-    winner: str | None
-    asked: frozenset[str]
-
-
 def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
     """Play the staged game under a full action profile.
 
@@ -178,9 +201,16 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
     missing = set(profile.candidates) - set(actions)
     if missing:
         raise ValueError(f"no action given for {sorted(missing)}")
+    unknown = set(actions) - set(profile.candidates)
+    if unknown:
+        raise ValueError(f"actions given for unknown candidate(s) {sorted(unknown)}")
     bad = {c: v for c, v in actions.items() if v not in (RUN, DROP)}
     if bad:
         raise ValueError(f"actions must be {RUN!r} or {DROP!r}, got {bad}")
+    runners = frozenset(c for c, v in actions.items() if v == RUN)
+    played = game._plays.get(runners)  # a play depends only on who runs
+    if played is not None:
+        return played
     f = resolve_rule(game.rule)
     asked: set[str] = set()
 
@@ -188,7 +218,17 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
         """Ask a leaf's candidate; True when they run."""
         (c,) = leaf.members
         asked.add(c)
-        return actions[c] == RUN
+        return c in runners
+
+    def decide(node: PQNode, shown: frozenset[str]) -> str:
+        """The rule's pick among the named child blocks of ``node``."""
+        key = (node.members, shown)
+        block = game._decisions.get(key)
+        if block is None:
+            packed = restrict(_child_summary(profile, node.children), shown)
+            block = _single_winner(f, packed, f"blocks of {sorted(node.members)}")
+            game._decisions[key] = block
+        return block
 
     def process(node: PQNode) -> str | None:
         if node.is_leaf:  # degenerate one-candidate game
@@ -205,8 +245,7 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
                         gone.add(ch.name)
                 if len(gone) == len(node.children):
                     return None
-                packed = remove_candidates(_child_summary(profile, node.children), gone)
-                block = _single_winner(f, packed, f"blocks of {sorted(node.members)}")
+                block = decide(node, frozenset(ch.name for ch in node.children) - gone)
                 chosen = next(ch for ch in node.children if ch.name == block)
                 if chosen.is_leaf:
                     return next(iter(chosen.members))
@@ -220,10 +259,7 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
             if len(alive) == 1:
                 walk = alive
             else:
-                pair = restrict(
-                    _child_summary(profile, node.children), {alive[0].name, alive[1].name}
-                )
-                block = _single_winner(f, pair, f"blocks of {sorted(node.members)}")
+                block = decide(node, frozenset((alive[0].name, alive[1].name)))
                 walk = alive if block == alive[0].name else alive[::-1]
             restart = False
             for ch in walk:
@@ -242,8 +278,9 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
                 continue
             return None  # walked the whole string without a runner
 
-    winner = process(build_pqtree(profile))
-    return PlayResult(winner=winner, asked=frozenset(asked))
+    played = PlayResult(winner=process(build_pqtree(profile)), asked=frozenset(asked))
+    game._plays[runners] = played
+    return played
 
 
 def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | None]:
@@ -263,7 +300,7 @@ def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | 
     def pay(result: PlayResult) -> int:
         if result.winner is None:
             return 0
-        return m - clone_metric(game.profile, a, result.winner)
+        return m - game._distance[a, result.winner]
 
     for choice in product((RUN, DROP), repeat=len(others)):
         opponents = dict(zip(others, choice))

@@ -199,6 +199,21 @@ def remove_candidates(profile: Profile, to_remove: Iterable[str]) -> Profile:
     unknown = gone - set(profile.candidates)
     if unknown:
         raise ValueError(f"cannot remove unknown candidate(s) {sorted(unknown)}")
+    return _without(profile, gone)
+
+
+def restrict(profile: Profile, keep: Iterable[str]) -> Profile:
+    """Restrict every ballot to the candidates in ``keep``."""
+    kept = frozenset(keep)
+    names = set(profile.candidates)
+    unknown = kept - names
+    if unknown:
+        raise ValueError(f"cannot keep unknown candidate(s) {sorted(unknown)}")
+    return _without(profile, names - kept)
+
+
+def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
+    """The profile minus ``gone``, a set of its own candidates."""
     remaining = tuple(c for c in profile.candidates if c not in gone)
     if not remaining:
         raise ValueError("cannot remove every candidate")
@@ -206,12 +221,6 @@ def remove_candidates(profile: Profile, to_remove: Iterable[str]) -> Profile:
         (tuple(c for c in ranking if c not in gone), mult) for ranking, mult in profile.groups
     )
     return Profile(candidates=remaining, groups=groups)
-
-
-def restrict(profile: Profile, keep: Iterable[str]) -> Profile:
-    """Restrict every ballot to the candidates in ``keep``."""
-    kept = frozenset(keep)
-    return remove_candidates(profile, set(profile.candidates) - kept)
 
 
 def block_name(members: Iterable[str]) -> str:

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 from itertools import chain, combinations, permutations, product
 
-from clonelab.profiles import Profile, majority_matrix
+from clonelab.clones import clone_metric
+from clonelab.games import DROP, RUN
+from clonelab.pqtree import _child_summary, _reading_order, build_pqtree
+from clonelab.profiles import Profile, majority_matrix, remove_candidates, restrict
 from clonelab.scf import priority_order
+from clonelab.transform import resolve_rule
 
 
 def nonempty_subsets(items):
@@ -243,3 +247,139 @@ def literal_ranked_pairs_orders(profile: Profile, limit: int = 20000):
         order = [e for grp in combo for e in grp]
         results.add(ranking_of(locks(order)))
     return results
+
+
+def _brute_fields(others):
+    """Every set of opposing runners, smallest first, then lexicographic."""
+    return chain.from_iterable(combinations(others, k) for k in range(len(others) + 1))
+
+
+def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
+    """One staged play, walked afresh: (winner or None, candidates asked)."""
+    asked: set[str] = set()
+
+    def ask(leaf) -> bool:
+        (c,) = leaf.members
+        asked.add(c)
+        return c in runners
+
+    def single(packed) -> str:
+        (w,) = f(packed)
+        return w
+
+    def process(node):
+        if node.is_leaf:
+            (c,) = node.members
+            return c if ask(node) else None
+        gone: set[str] = set()
+        while True:
+            alive = [ch for ch in _reading_order(node) if ch.name not in gone]
+            if not alive:
+                return None
+            if node.kind == "P":
+                for ch in alive:
+                    if ch.is_leaf and not ask(ch):
+                        gone.add(ch.name)
+                if len(gone) == len(node.children):
+                    return None
+                block = single(remove_candidates(_child_summary(profile, node.children), gone))
+                chosen = next(ch for ch in node.children if ch.name == block)
+                if chosen.is_leaf:
+                    return next(iter(chosen.members))
+                sub = process(chosen)
+                if sub is not None:
+                    return sub
+                gone.add(chosen.name)
+                continue
+            if len(alive) == 1:
+                walk = alive
+            else:
+                pair = {alive[0].name, alive[1].name}
+                block = single(restrict(_child_summary(profile, node.children), pair))
+                walk = alive if block == alive[0].name else alive[::-1]
+            restart = False
+            for ch in walk:
+                if ch.is_leaf:
+                    if ask(ch):
+                        return next(iter(ch.members))
+                    gone.add(ch.name)
+                else:
+                    sub = process(ch)
+                    if sub is not None:
+                        return sub
+                    gone.add(ch.name)
+                    restart = True
+                    break
+            if not restart:
+                return None
+
+    return process(build_pqtree(profile)), frozenset(asked)
+
+
+def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
+    """Every candidate's candidacy verdicts, with witnesses, recomputed with
+    no memo: each one-shot field is elected afresh with ``restrict``, the rule
+    and ``clone_metric``, and each staged play walks the PQ-tree afresh.
+
+    Returns ``{candidate: ((dominant, witness), (obvious, witness))}`` for
+    the one-shot form and ``{candidate: (obvious, witness)}`` for the staged
+    form, in the shapes and first-found witness order of
+    :mod:`clonelab.games`.
+    """
+    f = resolve_rule(rule)
+    m = profile.m
+
+    def pay(a, winner):
+        return 0 if winner is None else m - clone_metric(profile, a, winner)
+
+    def elect(field):
+        if not field:
+            return None
+        (w,) = f(restrict(profile, field))
+        return w
+
+    out = {}
+    for a in profile.candidates:
+        others = sorted(set(profile.candidates) - {a})
+        if form == "gamma":
+            dominant = (True, None)
+            worst_run = best_drop = None
+            for field in _brute_fields(others):
+                u_run = pay(a, elect(set(field) | {a}))
+                u_drop = pay(a, elect(field))
+                if u_run < u_drop and dominant[0]:
+                    dominant = (False, {"candidate": a, "others_running": sorted(field),
+                                        "run_utility": u_run, "drop_utility": u_drop})
+                if worst_run is None or u_run < worst_run[0]:
+                    worst_run = (u_run, field)
+                if best_drop is None or u_drop > best_drop[0]:
+                    best_drop = (u_drop, field)
+            obvious = (True, None)
+            if worst_run[0] < best_drop[0]:
+                obvious = (False, {"candidate": a,
+                                   "worst_run_utility": worst_run[0],
+                                   "worst_run_others": sorted(worst_run[1]),
+                                   "best_drop_utility": best_drop[0],
+                                   "best_drop_others": sorted(best_drop[1])})
+            out[a] = (dominant, obvious)
+            continue
+        worst_run = best_drop = None
+        for choice in product((RUN, DROP), repeat=len(others)):
+            opponents = dict(zip(others, choice))
+            running = frozenset(c for c, act in opponents.items() if act == RUN)
+            ran, asked = _brute_staged_play(profile, f, running | {a})
+            if a not in asked:
+                continue
+            dropped, _ = _brute_staged_play(profile, f, running)
+            u_run, u_drop = pay(a, ran), pay(a, dropped)
+            if worst_run is None or u_run < worst_run[0]:
+                worst_run = (u_run, {"opponents": opponents, "winner": ran})
+            if best_drop is None or u_drop > best_drop[0]:
+                best_drop = (u_drop, {"opponents": opponents, "winner": dropped})
+        if worst_run is None or worst_run[0] >= best_drop[0]:
+            out[a] = (True, None)
+        else:
+            out[a] = (False, {"candidate": a,
+                              "worst_run_utility": worst_run[0], "worst_run": worst_run[1],
+                              "best_drop_utility": best_drop[0], "best_drop": best_drop[1]})
+    return out

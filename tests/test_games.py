@@ -18,7 +18,9 @@ from clonelab.games import (
     utility,
 )
 from clonelab.profiles import restrict
-from clonelab.transform import cc_transform
+from clonelab.transform import cc_transform, resolve_rule
+
+from oracles import brute_game_verdicts
 
 
 def test_game_spec_requires_decisive_rule(fixtures):
@@ -44,6 +46,8 @@ def test_utility_schedule(fixtures):
     assert utility(game, "b", set()) == 0
     with pytest.raises(ValueError):
         utility(game, "z", {"b"})
+    with pytest.raises(ValueError, match="zzz"):
+        utility(game, "b", {"b", "zzz"})
 
 
 def test_gamma_dominance_is_not_obviousness(fixtures):
@@ -117,6 +121,10 @@ def test_lambda_play_validates_action_map(fixtures):
     bad["a1"] = "run"
     with pytest.raises(ValueError):
         lambda_play(game, bad)
+    everyone = {c: RUN for c in fixtures["P2"].candidates}
+    lambda_play(game, everyone)  # a play already on record is still validated
+    with pytest.raises(ValueError, match="zzz"):
+        lambda_play(game, {**everyone, "zzz": RUN})
 
 
 def test_lambda_matches_transform_on_surviving_field(corpus):
@@ -153,3 +161,43 @@ def test_run_is_dominant_for_clone_independent_rules(corpus):
                 assert held, (rid, p, a, witness)
                 held, witness = lambda_obviously_dominant_run(staged, a)
                 assert held, (rid, p, a, witness)
+
+
+def test_games_match_unmemoized_oracle(corpus, fixtures):
+    """Both forms give the verdicts and witnesses of a replay that elects
+    every field and walks every play afresh."""
+    profiles = corpus[:60] + [fixtures[f"P{k}"] for k in range(1, 10)]
+    for p in profiles:
+        for rid in ("rp_i:1", "stv_i:1", "rp_i:1^cc"):
+            gamma = GameSpec(profile=p, rule=rid, form="gamma")
+            staged = GameSpec(profile=p, rule=rid, form="lambda")
+            got_gamma = {a: (gamma_dominant_run(gamma, a), gamma_obviously_dominant_run(gamma, a))
+                         for a in p.candidates}
+            got_staged = {a: lambda_obviously_dominant_run(staged, a) for a in p.candidates}
+            assert got_gamma == brute_game_verdicts(p, rid, "gamma"), (rid, p)
+            assert got_staged == brute_game_verdicts(p, rid, "lambda"), (rid, p)
+
+
+def test_games_call_the_rule_once_per_field_and_decision(fixtures):
+    p2 = fixtures["P2"]
+    base = resolve_rule("rp_i:1")
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return base(profile)
+
+    game = GameSpec(profile=p2, rule=counted, form="gamma")
+    assert len(calls) == 2**p2.m - 1 == 15
+    for a in p2.candidates:
+        gamma_dominant_run(game, a)
+        gamma_obviously_dominant_run(game, a)
+    assert len(calls) == 15  # every field was elected while building the game
+
+    staged = GameSpec(profile=p2, rule=counted, form="lambda")
+    built = len(calls)
+    first = [lambda_obviously_dominant_run(staged, a) for a in p2.candidates]
+    decisions = calls[built:]
+    assert decisions and len(set(decisions)) == len(decisions)  # no node decided twice
+    assert [lambda_obviously_dominant_run(staged, a) for a in p2.candidates] == first
+    assert len(calls) == built + len(decisions)

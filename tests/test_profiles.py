@@ -131,6 +131,11 @@ def test_restrict_is_remove_complement(corpus):
         )
 
 
+def test_restrict_rejects_unknown_names(fixtures):
+    with pytest.raises(ValueError, match="zzz"):
+        restrict(fixtures["P2"], {"a1", "zzz"})
+
+
 def test_remove_everything_rejected():
     p = parse_profile("candidates: a,b\n1: a>b\n")
     with pytest.raises(ValueError):
