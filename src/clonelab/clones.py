@@ -2,11 +2,11 @@
 
 A set of candidates is a *clone set* when every ballot ranks its members
 consecutively (no outsider wedged between two members).  Singletons and the
-full candidate set always qualify.  Because each clone set must in particular
-be an interval of voter 1's ranking, the whole structure is found by checking
-the m(m+1)/2 intervals of that ranking against everyone else, and partitions
-of the candidates into clone sets are exactly the tilings of voter 1's
-ranking by such intervals.
+full candidate set always qualify.  Each clone set is an interval of voter
+1's ranking, so one table of those intervals holds the whole structure: each
+interval grows from its start one candidate at a time while every distinct
+ballot tracks its members' lowest and highest position (O(k·m²) for k
+ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_CACHE_SIZE = 256  # profiles per cache; hits in long sweeps are to recent ones
+
+
 class EnumerationCapExceeded(RuntimeError):
     """An enumeration grew past its configured cap; results were discarded."""
 
@@ -51,18 +54,39 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def clone_structure(profile: Profile) -> CloneStructure:
-    """All clone sets of the profile."""
+def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]]]:
+    """Voter 1's ranking ``first`` and the table ``t`` with ``t[i][j]`` True
+    exactly when ``first[i:j]`` is a clone set (0 <= i < j <= m)."""
     first = profile.groups[0][0]
     m = len(first)
-    found: set[CloneSet] = set()
+    ballots = []  # each distinct ballot's position of first[0], first[1], ...
+    for ranking in {r for r, _ in profile.groups}:
+        where = {c: k for k, c in enumerate(ranking)}
+        ballots.append([where[c] for c in first])
+    table = []
     for i in range(m):
-        for j in range(i + 1, m + 1):
-            members = frozenset(first[i:j])
-            if is_clone_set(profile, members):
-                found.add(members)
-    return frozenset(found)
+        spread = [0] * (m + 1)  # widest span of first[i:j] over the ballots
+        for pos in ballots:
+            lo = hi = pos[i]
+            for j in range(i + 2, m + 1):
+                x = pos[j - 1]
+                if x < lo:
+                    lo = x
+                elif x > hi:
+                    hi = x
+                if hi - lo > spread[j]:
+                    spread[j] = hi - lo
+        table.append([spread[j] == j - 1 - i for j in range(m + 1)])
+    return first, table
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def clone_structure(profile: Profile) -> CloneStructure:
+    """All clone sets of the profile."""
+    first, table = _clone_intervals(profile)
+    return frozenset(
+        frozenset(first[i:j]) for i, row in enumerate(table) for j, ok in enumerate(row) if ok
+    )
 
 
 def canonical_decomposition(blocks) -> CloneDecomposition:
@@ -80,8 +104,7 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
     Raises:
         EnumerationCapExceeded: if more than ``cap`` partitions exist.
     """
-    structure = clone_structure(profile)
-    first = profile.groups[0][0]
+    first, table = _clone_intervals(profile)
     m = len(first)
     tilings: list[tuple[CloneSet, ...]] = []
 
@@ -94,9 +117,8 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
             tilings.append(tuple(acc))
             return
         for end in range(start + 1, m + 1):
-            segment = frozenset(first[start:end])
-            if segment in structure:
-                acc.append(segment)
+            if table[start][end]:
+                acc.append(frozenset(first[start:end]))
                 tile(end, acc)
                 acc.pop()
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping
 
-from .clones import clone_structure
+from .clones import clone_metric
 from .profiles import Profile, restrict
 from .pqtree import PQNode, _child_summary, _reading_order, build_pqtree
 from .transform import resolve_rule, rule_label
@@ -108,12 +108,9 @@ class GameSpec:
                 self._winners[frozenset(subset)] = _single_winner(
                     f, restrict(self.profile, subset), f"candidates {list(subset)}"
                 )
-        # as clones.clone_metric: one less than the smallest clone set holding
-        # both, so larger sets are written first and smaller ones overwrite them
-        for k in sorted(clone_structure(self.profile), key=len, reverse=True):
-            for a in k:
-                for b in k:
-                    self._distance[a, b] = len(k) - 1
+        for a in cands:
+            for b in cands:
+                self._distance[a, b] = clone_metric(self.profile, a, b)
 
     @property
     def rule_name(self) -> str:

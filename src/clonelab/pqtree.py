@@ -2,27 +2,33 @@
 
 A clone set is strong when it properly overlaps no other clone set, so the
 strong sets nest into a tree: leaves are candidates, the root is the whole
-candidate set.  An internal node is
+candidate set.  Every clone set is an interval of voter 1's ranking, so a
+node is an interval ``[i, j)`` of it, read off the table of clone intervals
+in :mod:`clonelab.clones`; ``c`` is a *cut* of the node when ``[i, c)`` and
+``[c, j)`` are both clone sets.  A cut never falls inside a child, whose
+strong set it would properly overlap.  An internal node is
 
-* type Q (a string of sausages) when the union of every two adjacent child
-  blocks is again a clone set — every ballot then runs through the child
-  blocks left-to-right or right-to-left, and the node's clone sets are
-  exactly the unions of consecutive runs of children;
-* type P (a fat sausage) otherwise — only the node itself is a clone set,
-  and the children carry no linear arrangement at all.
+* type Q (a string of sausages) when it has a cut; its children are the
+  pieces between consecutive cuts, every ballot runs through them
+  left-to-right or right-to-left, and the node's clone sets are exactly the
+  unions of consecutive runs of children;
+* type P (a fat sausage) otherwise — no union of some but not all children
+  is a clone set and every proper clone subset lies inside one child, so
+  the children are the longest proper clone interval from ``i``, then the
+  longest from where it ends, and so on; they carry no linear arrangement.
 
-Two-child internal nodes satisfy the Q test vacuously and are stored as Q,
-though they are rendered with the unordered glyph since a two-block string
-has no orientation to speak of.
+Two-child internal nodes have a cut and are stored as Q, though they are
+rendered with the unordered glyph since a two-block string has no
+orientation to speak of.
 
 Stored child order is the order voter 1 ranks the blocks; for Q nodes the
 ``orientation`` field records whether a strict majority of voters agrees
-with that order (``forward``) or with its mirror (``reverse``), with ``tie``
-set when the counts are even.  :func:`ordered_child` reads children in
-majority order, falling back to stored order on a tie.  For P nodes the
-stored order is purely cosmetic, so children are arranged by a display
-convention: ascending number of last-place finishes for the block, ties by
-block name.
+with that order (``forward``, a ballot ranking the first child's block above
+the second's) or with its mirror (``reverse``), with ``tie`` set when the
+counts are even.  :func:`ordered_child` reads children in majority order,
+falling back to stored order on a tie.  For P nodes the stored order is
+purely cosmetic, so children are arranged by a display convention:
+ascending number of last-place finishes for the block, ties by block name.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .clones import CloneDecomposition, canonical_decomposition, clone_structure
+from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
 from .profiles import Profile, block_name, restrict, summarize
 
 __all__ = [
@@ -66,81 +72,47 @@ class PQNode:
         return block_name(self.members)
 
 
-def _strong_sets(profile: Profile) -> list[frozenset[str]]:
-    structure = clone_structure(profile)
-    strong = []
-    for k in structure:
-        if all(
-            not (k & other) or k <= other or other <= k
-            for other in structure
-        ):
-            strong.append(k)
-    return strong
-
-
-def _block_sequence(ranking, blocks: list[frozenset[str]]) -> list[int]:
-    """Indices of ``blocks`` in first-appearance order on this ballot."""
-    owner = {c: i for i, b in enumerate(blocks) for c in b}
-    seq: list[int] = []
-    for c in ranking:
-        i = owner[c]
-        if not seq or seq[-1] != i:
-            seq.append(i)
-    return seq
-
-
 def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     """The profile restricted to a node, each child block collapsed to its name."""
     blocks = [child.members for child in children]
     return summarize(restrict(profile, frozenset().union(*blocks)), blocks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def build_pqtree(profile: Profile) -> PQNode:
     """Build the tree of strong clone sets with P/Q labels and orientations."""
-    strong = sorted(_strong_sets(profile), key=len)
-    structure = clone_structure(profile)
-    first_ranking = profile.groups[0][0]
-    first_pos = {c: i for i, c in enumerate(first_ranking)}
+    first, table = _clone_intervals(profile)
 
-    def build(members: frozenset[str]) -> PQNode:
-        if len(members) == 1:
+    def build(i: int, j: int) -> PQNode:
+        members = frozenset(first[i:j])
+        if j - i == 1:
             return PQNode(members=members, kind="leaf")
-        # children: maximal strong proper subsets, in voter 1's block order
-        inside = [s for s in strong if s < members]
-        child_sets = [s for s in inside if not any(s < t for t in inside)]
-        child_sets.sort(key=lambda s: min(first_pos[c] for c in s))
-
-        adjacent_unions_ok = all(
-            (child_sets[i] | child_sets[i + 1]) in structure
-            for i in range(len(child_sets) - 1)
-        )
-        if adjacent_unions_ok:
-            forward = backward = 0
-            stored = list(range(len(child_sets)))
-            for ranking, mult in profile.groups:
-                seq = _block_sequence([c for c in ranking if c in members], child_sets)
-                if seq == stored:
-                    forward += mult
-                elif seq == stored[::-1]:
-                    backward += mult
-                else:  # cannot happen once the adjacency test passed
-                    raise AssertionError(f"ballot breaks the block string at {members}")
+        cuts = [c for c in range(i + 1, j) if table[i][c] and table[c][j]]
+        if cuts:
+            bounds = [i, *cuts, j]
+            head, second = first[i], first[cuts[0]]
+            forward = sum(mult for r, mult in profile.groups if r.index(head) < r.index(second))
+            backward = profile.n - forward
             return PQNode(
                 members=members,
                 kind="Q",
-                children=tuple(build(s) for s in child_sets),
+                children=tuple(build(a, b) for a, b in zip(bounds, bounds[1:])),
                 orientation="forward" if forward >= backward else "reverse",
                 tie=forward == backward,
             )
-        children = [build(s) for s in child_sets]
+        children = []
+        start = i
+        while start < j:  # each child: the longest proper clone interval from here
+            end = max(e for e in range(start + 1, j + 1) if table[start][e] and e - start < j - i)
+            children.append(build(start, end))
+            start = end
         last_counts = {child.name: 0 for child in children}
         for ranking, mult in _child_summary(profile, children).groups:
             last_counts[ranking[-1]] += mult  # voters ranking that block last here
         children.sort(key=lambda child: (last_counts[child.name], child.name))
         return PQNode(members=members, kind="P", children=tuple(children))
 
-    return build(frozenset(profile.candidates))
+    return build(0, len(first))
 
 
 def decomp(node: PQNode) -> CloneDecomposition:

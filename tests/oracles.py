@@ -11,7 +11,7 @@ from itertools import chain, combinations, permutations, product
 
 from clonelab.clones import clone_metric
 from clonelab.games import DROP, RUN
-from clonelab.pqtree import _child_summary, _reading_order, build_pqtree
+from clonelab.pqtree import PQNode, _child_summary, _reading_order, build_pqtree
 from clonelab.profiles import Profile, majority_matrix, remove_candidates, restrict
 from clonelab.scf import priority_order
 from clonelab.transform import resolve_rule
@@ -36,6 +36,63 @@ def brute_clone_sets(profile: Profile) -> frozenset[frozenset[str]]:
         if ok:
             out.add(frozenset(members))
     return frozenset(out)
+
+
+def brute_pqtree(profile: Profile) -> PQNode:
+    """The PQ-tree read off the definition, over :func:`brute_clone_sets`.
+
+    A clone set is strong when no clone set properly overlaps it.  A node's
+    children are its maximal strong proper subsets, in voter 1's order.  The
+    node is Q exactly when the union of every two adjacent children is a
+    clone set; it reads ``forward`` when at least as many voters run through
+    the children in that order as in its mirror.  P children are arranged by
+    the number of voters ranking the child last among the node's members,
+    ties by block name.
+    """
+    clones = brute_clone_sets(profile)
+    strong = [k for k in clones if all(not k & o or k <= o or o <= k for o in clones)]
+    first = profile.groups[0][0]
+
+    def name(block) -> str:
+        return "+".join(sorted(block))
+
+    def build(members: frozenset[str]) -> PQNode:
+        if len(members) == 1:
+            return PQNode(members=members, kind="leaf")
+        inside = [s for s in strong if s < members]
+        kids = [s for s in inside if not any(s < t for t in inside)]
+        kids.sort(key=lambda s: min(first.index(c) for c in s))
+        if all(kids[i] | kids[i + 1] in clones for i in range(len(kids) - 1)):
+            stored = list(range(len(kids)))
+            forward = backward = 0
+            for ranking, mult in profile.groups:
+                seq: list[int] = []
+                for c in ranking:
+                    if c in members:
+                        block = next(i for i, s in enumerate(kids) if c in s)
+                        if not seq or seq[-1] != block:
+                            seq.append(block)
+                if seq == stored:
+                    forward += mult
+                elif seq == stored[::-1]:
+                    backward += mult
+                else:
+                    raise AssertionError(f"ballot {ranking} breaks the string {members}")
+            return PQNode(
+                members=members,
+                kind="Q",
+                children=tuple(build(s) for s in kids),
+                orientation="forward" if forward >= backward else "reverse",
+                tie=forward == backward,
+            )
+        last = {name(s): 0 for s in kids}
+        for ranking, mult in profile.groups:
+            bottom = [c for c in ranking if c in members][-1]
+            last[name(next(s for s in kids if bottom in s))] += mult
+        kids.sort(key=lambda s: (last[name(s)], name(s)))
+        return PQNode(members=members, kind="P", children=tuple(build(s) for s in kids))
+
+    return build(frozenset(profile.candidates))
 
 
 def brute_smith(profile: Profile) -> frozenset[str]:

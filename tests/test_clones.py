@@ -10,7 +10,7 @@ from clonelab.clones import (
     enumerate_decompositions,
     is_clone_set,
 )
-from clonelab.profiles import Profile, parse_profile
+from clonelab.profiles import Profile, parse_profile, restrict
 
 from oracles import brute_clone_sets
 
@@ -51,6 +51,16 @@ def test_overlapping_clone_sets_union_and_intersect(corpus):
                     assert k1 & k2 in fs
                     assert k1 - k2 in fs
                     assert k2 - k1 in fs
+
+
+def test_restriction_can_create_clone_sets():
+    """A restriction's clone sets are not those of the profile cut down: here
+    the profile has only trivial clone sets, while dropping x makes {b, c} a
+    clone set.  So a subset's tree is not a restriction of the profile's."""
+    p = parse_profile("candidates: a,b,c,x\n1: b>x>c>a\n1: c>b>a>x\n")
+    trivial = {frozenset({c}) for c in p.candidates} | {frozenset(p.candidates)}
+    assert set(clone_structure(p)) == trivial
+    assert frozenset({"b", "c"}) in clone_structure(restrict(p, {"a", "b", "c"}))
 
 
 def test_clone_metric_axioms(corpus):

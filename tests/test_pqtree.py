@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from clonelab.clones import clone_structure
-from clonelab.profiles import parse_profile
+from clonelab.profiles import Profile, parse_profile
 from clonelab.pqtree import (
     build_pqtree,
     clone_sets_from_tree,
@@ -12,6 +14,8 @@ from clonelab.pqtree import (
     serialize_tree,
     tree_to_dict,
 )
+
+from oracles import brute_pqtree
 
 
 def test_tree_of_clone_pair(fixtures):
@@ -146,3 +150,52 @@ def test_degree_is_max_p_fanout():
     assert t.kind == "P"
     assert len(t.children) == 4
     assert decomposition_degree(t) == 4
+
+
+def _planted_tree(rng: random.Random, cands: list[str]):
+    """A random nesting of P and Q blocks over ``cands``."""
+    if len(cands) == 1:
+        return cands[0]
+    cuts = sorted(rng.sample(range(1, len(cands)), rng.randint(1, min(3, len(cands) - 1))))
+    bounds = [0, *cuts, len(cands)]
+    parts = [_planted_tree(rng, cands[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return rng.choice("PQ"), parts
+
+
+def _planted_ballot(rng: random.Random, tree) -> list[str]:
+    """A ballot that keeps every block contiguous: P blocks shuffled, Q
+    blocks read forward or backward."""
+    if isinstance(tree, str):
+        return [tree]
+    kind, parts = tree
+    order = list(parts)
+    if kind == "P":
+        rng.shuffle(order)
+    elif rng.random() < 0.5:
+        order.reverse()
+    return [c for part in order for c in _planted_ballot(rng, part)]
+
+
+def _seeded_profiles() -> list[Profile]:
+    """String, planted and two-ballot profiles with up to 12 candidates."""
+    rng = random.Random(20010717)
+    out = []
+    for m in (3, 5, 7, 9, 10, 11, 12, 12):
+        cands = [f"c{k}" for k in range(m)]
+        ranking = rng.sample(cands, m)
+        string = [(tuple(ranking), rng.randint(1, 3))]
+        if rng.random() < 0.8:
+            string.append((tuple(reversed(ranking)), rng.randint(1, 3)))
+        tree = _planted_tree(rng, cands)
+        planted = [(tuple(_planted_ballot(rng, tree)), rng.randint(1, 2)) for _ in range(4)]
+        pair = [(tuple(rng.sample(cands, m)), rng.randint(1, 2)) for _ in range(2)]
+        for groups in (string, planted, pair):
+            out.append(Profile(candidates=tuple(cands), groups=tuple(groups)))
+    return out
+
+
+def test_tree_matches_definition_oracle(corpus, fixtures):
+    """The tree equals the one read off the definition: strong sets nested by
+    inclusion, Q exactly when every adjacent union is a clone set."""
+    for p in [*corpus, *fixtures.values(), *_seeded_profiles()]:
+        assert build_pqtree(p) == brute_pqtree(p), p
