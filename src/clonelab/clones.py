@@ -6,7 +6,9 @@ full candidate set always qualify.  Each clone set is an interval of voter
 1's ranking, so one table of those intervals holds the whole structure: each
 interval grows from its start one candidate at a time while every distinct
 ballot tracks its members' lowest and highest position (O(k·m²) for k
-ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
+ballots at most; the scan from a start stops once every interval from it has
+an outsider inside on some ballot, which on unstructured profiles is after a
+few ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
 """
 
 from __future__ import annotations
@@ -59,16 +61,16 @@ def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]
     exactly when ``first[i:j]`` is a clone set (0 <= i < j <= m)."""
     first = profile.groups[0][0]
     m = len(first)
-    ballots = []  # each distinct ballot's position of first[0], first[1], ...
-    for ranking in {r for r, _ in profile.groups}:
-        where = {c: k for k, c in enumerate(ranking)}
-        ballots.append([where[c] for c in first])
+    others = profile._core.positions()[1:]  # voter 1's own ballot splits no interval
     table = []
     for i in range(m):
-        spread = [0] * (m + 1)  # widest span of first[i:j] over the ballots
-        for pos in ballots:
+        spread = [j - 1 - i for j in range(m + 1)]  # widest span of first[i:j] so far
+        top = m if i else m - 1  # last end of a nontrivial interval still unsplit
+        for pos in others:
+            if top < i + 2:
+                break
             lo = hi = pos[i]
-            for j in range(i + 2, m + 1):
+            for j in range(i + 2, top + 1):
                 x = pos[j - 1]
                 if x < lo:
                     lo = x
@@ -76,7 +78,9 @@ def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]
                     hi = x
                 if hi - lo > spread[j]:
                     spread[j] = hi - lo
-        table.append([spread[j] == j - 1 - i for j in range(m + 1)])
+            while top > i + 1 and spread[top] != top - 1 - i:
+                top -= 1  # spans only widen: an interval once split stays split
+        table.append([j > i and spread[j] == j - 1 - i for j in range(m + 1)])
     return first, table
 
 

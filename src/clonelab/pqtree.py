@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, block_name, restrict, summarize
+from .profiles import Profile, _derived, block_name
 
 __all__ = [
     "PQNode",
@@ -73,15 +73,37 @@ class PQNode:
 
 
 def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
-    """The profile restricted to a node, each child block collapsed to its name."""
-    blocks = [child.members for child in children]
-    return summarize(restrict(profile, frozenset().union(*blocks)), blocks)
+    """The profile restricted to a node, each child block collapsed to its name.
+
+    Every ballot ranks each child block consecutively, so a block sits where
+    any one of its members does: each distinct ranking of the profile's core
+    is cut down to one member per block, and every group keeps its own
+    multiplicity.
+    """
+    core = profile._core
+    names = []
+    seat = {}  # code of one member of each block -> the block's index
+    for t, child in enumerate(children):
+        names.append(child.name)
+        seat[core.index[next(iter(child.members))]] = t
+    if isinstance(core.ballots[0], bytes):
+        table = bytes.maketrans(bytes(seat), bytes(seat.values()))
+        others = bytes(c for c in range(len(core.index)) if c not in seat)
+        orders = [ballot.translate(table, others) for ballot in core.ballots]
+    else:
+        orders = [[seat[c] for c in ballot if c in seat] for ballot in core.ballots]
+    seqs = [tuple(map(names.__getitem__, order)) for order in orders]
+    groups = tuple((seqs[slot], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
+    return _derived(seqs[0], groups)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_pqtree(profile: Profile) -> PQNode:
     """Build the tree of strong clone sets with P/Q labels and orientations."""
     first, table = _clone_intervals(profile)
+    core = profile._core
+    n = sum(core.weights)
+    positions = core.positions()
 
     def build(i: int, j: int) -> PQNode:
         members = frozenset(first[i:j])
@@ -90,9 +112,9 @@ def build_pqtree(profile: Profile) -> PQNode:
         cuts = [c for c in range(i + 1, j) if table[i][c] and table[c][j]]
         if cuts:
             bounds = [i, *cuts, j]
-            head, second = first[i], first[cuts[0]]
-            forward = sum(mult for r, mult in profile.groups if r.index(head) < r.index(second))
-            backward = profile.n - forward
+            head, second = core.index[first[i]], core.index[first[cuts[0]]]
+            forward = (n + core.rows[head][second]) // 2  # voters with head above second
+            backward = n - forward
             return PQNode(
                 members=members,
                 kind="Q",
@@ -106,9 +128,13 @@ def build_pqtree(profile: Profile) -> PQNode:
             end = max(e for e in range(start + 1, j + 1) if table[start][e] and e - start < j - i)
             children.append(build(start, end))
             start = end
-        last_counts = {child.name: 0 for child in children}
-        for ranking, mult in _child_summary(profile, children).groups:
-            last_counts[ranking[-1]] += mult  # voters ranking that block last here
+        owner = []  # voter 1's place -> the name of the child there, over the node
+        for child in children:
+            owner += [child.name] * len(child.members)
+        last_counts = dict.fromkeys(owner, 0)  # voters ranking each child last here
+        for pos, weight in zip(positions, core.weights):
+            span = pos[i:j]
+            last_counts[owner[span.index(max(span))]] += weight
         children.sort(key=lambda child: (last_counts[child.name], child.name))
         return PQNode(members=members, kind="P", children=tuple(children))
 

@@ -6,6 +6,19 @@ indices are 1-based positions in the expanded list of ballots (group order,
 then within-group repetition), so voter-indexed rules have a stable meaning
 after any of the transformations here: none of them merge or reorder groups.
 
+Under the public groups each profile keeps a private integer core, built on
+first use and then kept with the profile (it takes no part in equality,
+hashing or repr).  It codes each candidate by its place in ``candidates``,
+holds the distinct rankings as code sequences with their voter counts, in
+order of first appearance (voter 1's ranking first), and the margin rows
+every pairwise rule reads.  The rows come from a packed-integer kernel: with
+a field of ``w = n.bit_length() + 1`` bits per candidate, each distinct
+ranking is walked bottom to top, adding the weighted sum of the fields of
+the candidates already passed to the row of the current one, so one big-int
+addition per ballot position counts a candidate's wins over everyone below
+it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
+the core: the groups, and so the voter indices, are never merged.
+
 The text format accepted by :func:`parse_profile`::
 
     # comment
@@ -16,7 +29,8 @@ The text format accepted by :func:`parse_profile`::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +80,12 @@ class Profile:
         if not self.groups:
             raise ProfileParseError("profile has no ballots")
         cset = set(self.candidates)
+        m = len(cset)
         for ranking, mult in self.groups:
             if mult <= 0:
                 raise ProfileParseError(f"non-positive multiplicity {mult}")
+            if len(ranking) == m and set(ranking) == cset:
+                continue  # a permutation of the candidates
             if len(ranking) != len(set(ranking)):
                 raise ProfileParseError(f"duplicate candidate in ballot {ranking}")
             missing = cset - set(ranking)
@@ -77,6 +94,10 @@ class Profile:
                 raise ProfileParseError(f"unknown candidate(s) {sorted(unknown)} in ballot")
             if missing:
                 raise ProfileParseError(f"ballot is missing candidate(s) {sorted(missing)}")
+
+    @cached_property
+    def _core(self) -> _Core:
+        return _Core(self)
 
     @property
     def m(self) -> int:
@@ -106,6 +127,95 @@ class Profile:
         raise IndexError(f"voter index {i} out of range 1..{self.n}")
 
 
+def _derived(candidates: tuple[str, ...], groups: tuple[tuple[Ranking, int], ...]) -> Profile:
+    """A profile built from a valid one by a transformation that keeps it
+    valid: the checks of ``__post_init__`` are skipped."""
+    profile = object.__new__(Profile)
+    object.__setattr__(profile, "candidates", candidates)
+    object.__setattr__(profile, "groups", groups)
+    return profile
+
+
+class _Core:
+    """A profile's rankings in integer codes (see the module docstring).
+
+    Attributes:
+        index: candidate name -> code, its place in ``candidates``.
+        ballots: the distinct rankings as code sequences, top first, in order
+            of first appearance, so ``ballots[0]`` is voter 1's.
+        weights: the number of voters holding each distinct ranking.
+        slots: for each public group, the index of its ranking in ``ballots``.
+
+    The margin rows are computed on first use and kept.
+    """
+
+    __slots__ = ("index", "ballots", "weights", "slots", "_rows")
+
+    def __init__(self, profile: Profile) -> None:
+        index = {c: k for k, c in enumerate(profile.candidates)}
+        slot_of: dict[Ranking, int] = {}
+        weights: list[int] = []
+        slots: list[int] = []
+        for ranking, mult in profile.groups:
+            slot = slot_of.setdefault(ranking, len(weights))
+            if slot == len(weights):
+                weights.append(mult)
+            else:
+                weights[slot] += mult
+            slots.append(slot)
+        code = bytes if len(index) <= 256 else tuple
+        self.index = index
+        self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in slot_of)
+        self.weights = tuple(weights)
+        self.slots = tuple(slots)
+        self._rows: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Margin rows: ``rows[a][b]`` is margin(a, b) by candidate code."""
+        if self._rows is None:
+            self._rows = self._margins()
+        return self._rows
+
+    def _margins(self) -> tuple[tuple[int, ...], ...]:
+        m = len(self.index)
+        n = sum(self.weights)
+        w = n.bit_length() + 1  # a field holds any count 0..n
+        fields = [1 << (w * c) for c in range(m)]
+        packed = [0] * m  # field b of packed[a]: voters ranking a above b
+        for ballot, weight in zip(self.ballots, self.weights):
+            step = fields if weight == 1 else [f * weight for f in fields]
+            below = 0  # the fields of the candidates passed so far, times weight
+            for c in reversed(ballot):
+                packed[c] += below
+                below += step[c]
+        mask = (1 << w) - 1
+        rows = []
+        for a, wins in enumerate(packed):
+            row = []
+            for _ in range(m):  # each voter ranks a above b or b above a
+                row.append(2 * (wins & mask) - n)
+                wins >>= w
+            row[a] = 0
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def positions(self) -> list:
+        """For each distinct ranking, the position of each of voter 1's
+        candidates on it: ``positions()[k][x]`` places voter 1's x-th choice.
+        Computed afresh on each call rather than kept: only a clone table and
+        a tree's last-place counts read it, while they are built."""
+        first = self.ballots[0]
+        if isinstance(first, bytes):  # code -> position as a translation table
+            seats = bytes(range(len(first)))
+            return [first.translate(bytes.maketrans(ballot, seats)) for ballot in self.ballots]
+        out = []
+        for ballot in self.ballots:
+            where = sorted(range(len(ballot)), key=ballot.__getitem__)  # code -> position
+            out.append(tuple(map(where.__getitem__, first)))
+        return out
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -128,16 +238,22 @@ def parse_profile(text: str) -> Profile:
     """
     header: tuple[str, ...] | None = None
     raw_groups: list[tuple[Ranking, int]] = []
+    names: dict[str, str] = {}  # token as written -> the one shared copy of its name
+
+    def shared(token: str) -> str:
+        name = token.strip()
+        return names.setdefault(token, names.setdefault(name, name))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if header is None and not raw_groups and line.lower().startswith("candidates:"):
-            names = [c.strip() for c in line.split(":", 1)[1].split(",")]
-            if any(not c for c in names):
+            header_names = [c.strip() for c in line.split(":", 1)[1].split(",")]
+            if any(not c for c in header_names):
                 raise ProfileParseError(f"line {lineno}: empty candidate name in header")
-            _reject_reserved(lineno, names)
-            header = tuple(names)
+            _reject_reserved(lineno, header_names)
+            header = tuple(map(shared, header_names))
             continue
         if ":" not in line:
             raise ProfileParseError(f"line {lineno}: expected '<count>: c1>c2>...'")
@@ -148,10 +264,14 @@ def parse_profile(text: str) -> Profile:
             raise ProfileParseError(f"line {lineno}: bad multiplicity {count_part.strip()!r}") from None
         if mult <= 0:
             raise ProfileParseError(f"line {lineno}: multiplicity must be positive, got {mult}")
-        ranking = tuple(c.strip() for c in ballot_part.split(">"))
-        if any(not c for c in ranking):
+        tokens = ballot_part.split(">")
+        ranking = tuple(map(names.get, tokens))
+        if None in ranking:  # a token not seen before
+            ranking = tuple(map(shared, tokens))
+        if "" in ranking:
             raise ProfileParseError(f"line {lineno}: empty candidate name in ballot")
-        _reject_reserved(lineno, ranking)
+        if "+" in ballot_part:
+            _reject_reserved(lineno, ranking)
         raw_groups.append((ranking, mult))
 
     if not raw_groups:
@@ -220,7 +340,7 @@ def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
     groups = tuple(
         (tuple(c for c in ranking if c not in gone), mult) for ranking, mult in profile.groups
     )
-    return Profile(candidates=remaining, groups=groups)
+    return _derived(remaining, groups)
 
 
 def block_name(members: Iterable[str]) -> str:
@@ -259,14 +379,13 @@ def summarize(profile: Profile, decomposition: Iterable[frozenset[str]]) -> Prof
                 raise ValueError(f"block {seq[-1]!r} is not consecutive in ballot {ranking}")
             run -= 1
         groups.append((tuple(seq), mult))
-    order = groups[0][0] if groups else ()
-    return Profile(candidates=order, groups=tuple(groups))
+    return _derived(groups[0][0], tuple(groups))
 
 
 def reverse_profile(profile: Profile) -> Profile:
     """Reverse every ballot (last place becomes first)."""
-    groups = tuple((tuple(reversed(ranking)), mult) for ranking, mult in profile.groups)
-    return Profile(candidates=profile.candidates, groups=groups)
+    groups = tuple((ranking[::-1], mult) for ranking, mult in profile.groups)
+    return _derived(profile.candidates, groups)
 
 
 def add_voter(profile: Profile, ranking: Sequence[str]) -> Profile:
@@ -309,38 +428,36 @@ def replace_voter(profile: Profile, i: int, ranking: Sequence[str]) -> Profile:
 
 @dataclass(frozen=True)
 class MajorityMatrix:
-    """All pairwise majority margins of a profile.
+    """All pairwise majority margins of a profile, a view of its margin rows.
 
     ``margin(a, b)`` is (# voters preferring a to b) − (# preferring b to a);
     the matrix is antisymmetric with a zero diagonal.
     """
 
     candidates: tuple[str, ...]
-    _margins: dict[tuple[str, str], int]
+    _rows: tuple[tuple[int, ...], ...]
+    _index: dict[str, int] = field(repr=False, compare=False)
 
     def margin(self, a: str, b: str) -> int:
         if a == b:
             return 0
-        return self._margins[(a, b)]
+        return self._rows[self._index[a]][self._index[b]]
 
     def defeats(self, a: str, b: str) -> bool:
         """True when a majority strictly prefers ``a`` to ``b``."""
         return self.margin(a, b) > 0
 
     def as_dict(self) -> dict[tuple[str, str], int]:
-        return dict(self._margins)
+        cands = self.candidates
+        return {
+            (a, b): w
+            for a, row in zip(cands, self._rows)
+            for b, w in zip(cands, row)
+            if a != b
+        }
 
 
 def majority_matrix(profile: Profile) -> MajorityMatrix:
-    """Compute every pairwise margin of the profile."""
-    margins: dict[tuple[str, str], int] = {
-        (a, b): 0 for a in profile.candidates for b in profile.candidates if a != b
-    }
-    for ranking, mult in profile.groups:
-        pos = {c: k for k, c in enumerate(ranking)}
-        for a in profile.candidates:
-            for b in profile.candidates:
-                if a != b and pos[a] < pos[b]:
-                    margins[(a, b)] += mult
-                    margins[(b, a)] -= mult
-    return MajorityMatrix(candidates=profile.candidates, _margins=margins)
+    """Every pairwise margin of the profile, computed once per profile."""
+    core = profile._core
+    return MajorityMatrix(candidates=profile.candidates, _rows=core.rows, _index=core.index)

@@ -10,7 +10,9 @@ that hinge on sequential tie-breaking come in three flavours here:
 * union-over-voters (``rp_n``): the union of ``rp_i`` over all voters.
 
 Pairwise rules (``beatpath``, ``split_cycle``, ``smith``, ``schwartz``, the
-uncovered sets) only consult the majority-margin matrix.
+uncovered sets) and ranked pairs only consult the majority margins, and all
+of them read the one set of margin rows a profile computes (indexed like
+``profile.candidates``; see :mod:`clonelab.profiles`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .profiles import Profile, majority_matrix, restrict
+from .profiles import Profile
 
 WinnerSet = frozenset[str]
 
@@ -144,20 +146,31 @@ def sigma_i(profile: Profile, i: int) -> tuple[frozenset[str], ...]:
     return tuple(pairs)
 
 
+def _priority_pairs(profile: Profile, i: int) -> list[tuple[int, int]]:
+    """:func:`priority_order` as pairs of candidate codes."""
+    core = profile._core
+    rows = core.rows
+    pos = [0] * len(rows)  # code -> place on voter i's ballot
+    for k, c in enumerate(profile.voter_ranking(i)):
+        pos[core.index[c]] = k
+
+    def key(ab: tuple[int, int]) -> tuple[int, int, int, int]:
+        a, b = ab
+        pa, pb = pos[a], pos[b]
+        # voter i's rank of the pair {a, b} is the order of (upper, lower) place
+        return (-rows[a][b], *((pa, pb) if pa < pb else (pb, pa)), pa)
+
+    return sorted(((a, b) for a in range(len(rows)) for b in range(len(rows)) if a != b), key=key)
+
+
 def priority_order(profile: Profile, i: int) -> tuple[tuple[str, str], ...]:
     """Strict processing order over ordered pairs for ranked pairs.
 
     Larger margins first; equal margins settled by voter i's pair ranking;
     the two orientations of a majority-tied pair settled by i's ballot.
     """
-    m = majority_matrix(profile)
-    pos = {c: k for k, c in enumerate(profile.voter_ranking(i))}
-    pair_rank = {p: k for k, p in enumerate(sigma_i(profile, i))}
-    ordered = [
-        (a, b) for a in profile.candidates for b in profile.candidates if a != b
-    ]
-    ordered.sort(key=lambda ab: (-m.margin(*ab), pair_rank[frozenset(ab)], pos[ab[0]]))
-    return tuple(ordered)
+    cands = profile.candidates
+    return tuple((cands[a], cands[b]) for a, b in _priority_pairs(profile, i))
 
 
 def _reaches(locked: set[tuple[str, str]], start: str, goal: str) -> bool:
@@ -197,19 +210,27 @@ def _ranking_from_locked(locked, candidates) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _lock_edges(order) -> set[tuple[str, str]]:
-    locked: set[tuple[str, str]] = set()
-    for a, b in order:
-        if not _reaches(locked, b, a):  # skip exactly the cycle-closing pairs
-            locked.add((a, b))
-    return locked
-
-
 def rp_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
-    """Full ranked-pairs order with voter i's priority order."""
-    m = majority_matrix(profile)
-    order = [e for e in priority_order(profile, i) if m.margin(*e) >= 0]
-    return _ranking_from_locked(_lock_edges(order), profile.candidates)
+    """Full ranked-pairs order with voter i's priority order.
+
+    Pairs of non-negative margin are locked in priority order unless the
+    locked graph already leads back; ``reach[a]`` holds, as a bitmask, every
+    candidate a leads to, so each test is one bit and each lock one pass.
+    The result is a total order, read off by how many each candidate leads to.
+    """
+    rows = profile._core.rows
+    reach = [0] * len(rows)
+    for a, b in _priority_pairs(profile, i):
+        if rows[a][b] < 0:
+            break  # every later pair has a negative margin too
+        if reach[b] >> a & 1:
+            continue  # b already leads to a: locking a->b would close a cycle
+        gained = reach[b] | 1 << b
+        for x, rx in enumerate(reach):
+            if x == a or rx >> a & 1:
+                reach[x] = rx | gained
+    order = sorted(range(len(rows)), key=lambda c: -reach[c].bit_count())
+    return tuple(profile.candidates[c] for c in order)
 
 
 def rp_i(profile: Profile, i: int) -> WinnerSet:
@@ -243,16 +264,12 @@ def _maximal_acyclic_extensions(locked: frozenset, group: list) -> set[frozenset
 
 
 def _rp_final_lockings(profile: Profile) -> set[frozenset]:
-    m = majority_matrix(profile)
-    edges = [
-        (a, b)
-        for a in profile.candidates
-        for b in profile.candidates
-        if a != b and m.margin(a, b) >= 0
-    ]
+    cands = profile.candidates
     by_margin: dict[int, list] = {}
-    for e in edges:
-        by_margin.setdefault(m.margin(*e), []).append(e)
+    for a, row in enumerate(profile._core.rows):
+        for b, w in enumerate(row):
+            if a != b and w >= 0:
+                by_margin.setdefault(w, []).append((cands[a], cands[b]))
     states: set[frozenset] = {frozenset()}
     for margin in sorted(by_margin, reverse=True):
         group = by_margin[margin]
@@ -307,14 +324,7 @@ class StrengthMatrix:
         return dict(self._strengths)
 
 
-def _margin_rows(profile: Profile) -> list[list[int]]:
-    """Majority margins as rows indexed like ``profile.candidates``."""
-    m = majority_matrix(profile)
-    cands = profile.candidates
-    return [[m.margin(a, b) for b in cands] for a in cands]
-
-
-def _widest_paths(margins: list[list[int]]) -> list[list[int]]:
+def _widest_paths(margins: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Max over paths a→b of the path's smallest positive margin; 0 with no path.
 
     Floyd–Warshall, skipping each ``k`` that ``a`` cannot reach (it widens nothing).
@@ -335,7 +345,7 @@ def _widest_paths(margins: list[list[int]]) -> list[list[int]]:
 def strength_matrix(profile: Profile) -> StrengthMatrix:
     """Max over paths a→b of the path's smallest margin; 0 with no path."""
     cands = profile.candidates
-    s = _widest_paths(_margin_rows(profile))
+    s = _widest_paths(profile._core.rows)
     pairs = {(a, b): s[i][j] for i, a in enumerate(cands) for j, b in enumerate(cands) if i != j}
     return StrengthMatrix(candidates=cands, _strengths=pairs)
 
@@ -358,7 +368,7 @@ def split_cycle(profile: Profile) -> WinnerSet:
     margin exceeds the widest-path strength from b to a (Holliday & Pacuit,
     *Split Cycle*, Public Choice 2023).
     """
-    margins = _margin_rows(profile)
+    margins = profile._core.rows
     s = _widest_paths(margins)
     return frozenset(
         c
@@ -367,12 +377,13 @@ def split_cycle(profile: Profile) -> WinnerSet:
     )
 
 
-def _source_components(profile: Profile, minimum: int) -> WinnerSet:
-    """Union of the source components of the ``margin >= minimum`` digraph:
-    the candidates that reach back everyone who reaches them."""
+def _source_components(names, margins, minimum: int) -> WinnerSet:
+    """Union of the source components of the ``margin >= minimum`` digraph on
+    ``names`` (rows of ``margins`` indexed alike): the candidates that reach
+    back everyone who reaches them."""
     reach = [  # bit b of reach[a] is set when a reaches b
         sum(1 << b for b, w in enumerate(row) if w >= minimum and b != a)
-        for a, row in enumerate(_margin_rows(profile))
+        for a, row in enumerate(margins)
     ]
     for k, rk in enumerate(reach):
         for a, ra in enumerate(reach):
@@ -380,7 +391,7 @@ def _source_components(profile: Profile, minimum: int) -> WinnerSet:
                 reach[a] = ra | rk
     return frozenset(
         c
-        for a, c in enumerate(profile.candidates)
+        for a, c in enumerate(names)
         if all(reach[a] >> b & 1 for b, rb in enumerate(reach) if rb >> a & 1 and b != a)
     )
 
@@ -390,12 +401,12 @@ def smith(profile: Profile) -> WinnerSet:
 
     Beats-or-ties is complete, so its digraph has exactly one source component.
     """
-    return _source_components(profile, 0)
+    return _source_components(profile.candidates, profile._core.rows, 0)
 
 
 def schwartz(profile: Profile) -> WinnerSet:
     """Union of the undominated components of the strict-defeat digraph."""
-    return _source_components(profile, 1)
+    return _source_components(profile.candidates, profile._core.rows, 1)
 
 
 def alt_smith(profile: Profile) -> WinnerSet:
@@ -403,8 +414,10 @@ def alt_smith(profile: Profile) -> WinnerSet:
 
     Repeat: cut the field to its Smith set; if several candidates remain,
     eliminate one with the fewest first-place votes (every tied choice is
-    followed and the outcomes unioned).
+    followed and the outcomes unioned).  A restriction's margins are the
+    profile's own, so each Smith set is read off the profile's rows.
     """
+    core = profile._core
     memo: dict[frozenset[str], WinnerSet] = {}
 
     def run(remaining: frozenset[str]) -> WinnerSet:
@@ -412,7 +425,9 @@ def alt_smith(profile: Profile) -> WinnerSet:
             return remaining
         if remaining in memo:
             return memo[remaining]
-        inner = smith(restrict(profile, remaining))
+        names = [c for c in profile.candidates if c in remaining]
+        codes = [core.index[c] for c in names]
+        inner = _source_components(names, [[core.rows[a][b] for b in codes] for a in codes], 0)
         if inner != remaining:
             result = run(inner)
         else:
@@ -432,34 +447,37 @@ def alt_smith(profile: Profile) -> WinnerSet:
 # uncovered sets
 
 
-def _left_covers(m, candidates, b: str, a: str) -> bool:
-    """Every candidate that beats b also beats a."""
-    return all(m.margin(c, a) > 0 for c in candidates if m.margin(c, b) > 0)
+def _beaten_by(profile: Profile) -> list[int]:
+    """Bit c of ``beaten_by[a]`` is set when candidate c strictly beats a
+    (codes as in ``profile.candidates``); b left-covers a when every
+    candidate beating b beats a, i.e. ``beaten_by[b]`` lies within
+    ``beaten_by[a]``."""
+    rows = profile._core.rows
+    return [sum(1 << c for c, row in enumerate(rows) if row[a] > 0) for a in range(len(rows))]
 
 
 def uc_gillies(profile: Profile) -> WinnerSet:
     """Nobody both left-covers and pairwise defeats a winner."""
-    m = majority_matrix(profile)
-    cands = profile.candidates
+    rows = profile._core.rows
+    beaten = _beaten_by(profile)
     return frozenset(
-        a
-        for a in cands
+        name
+        for a, name in enumerate(profile.candidates)
         if not any(
-            m.margin(b, a) > 0 and _left_covers(m, cands, b, a) for b in cands if b != a
+            rows[b][a] > 0 and not beaten[b] & ~beaten[a] for b in range(len(rows)) if b != a
         )
     )
 
 
 def uc_fishburn(profile: Profile) -> WinnerSet:
     """Nobody left-covers a winner without being left-covered back."""
-    m = majority_matrix(profile)
-    cands = profile.candidates
+    beaten = _beaten_by(profile)
     return frozenset(
-        a
-        for a in cands
+        name
+        for a, name in enumerate(profile.candidates)
         if not any(
-            _left_covers(m, cands, b, a) and not _left_covers(m, cands, a, b)
-            for b in cands
+            not beaten[b] & ~beaten[a] and beaten[a] & ~beaten[b]
+            for b in range(len(beaten))
             if b != a
         )
     )
@@ -467,8 +485,7 @@ def uc_fishburn(profile: Profile) -> WinnerSet:
 
 def condorcet_winner(profile: Profile) -> str | None:
     """The candidate beating all others head-to-head, if one exists."""
-    m = majority_matrix(profile)
-    for a in profile.candidates:
-        if all(m.margin(a, b) > 0 for b in profile.candidates if b != a):
-            return a
+    for a, row in enumerate(profile._core.rows):
+        if all(w > 0 for b, w in enumerate(row) if b != a):
+            return profile.candidates[a]
     return None

@@ -11,9 +11,8 @@ from itertools import chain, combinations, permutations, product
 
 from clonelab.clones import clone_metric
 from clonelab.games import DROP, RUN
-from clonelab.pqtree import PQNode, _child_summary, _reading_order, build_pqtree
-from clonelab.profiles import Profile, majority_matrix, remove_candidates, restrict
-from clonelab.scf import priority_order
+from clonelab.pqtree import PQNode, _reading_order, build_pqtree
+from clonelab.profiles import Profile, remove_candidates, restrict, summarize
 from clonelab.transform import resolve_rule
 
 
@@ -95,14 +94,27 @@ def brute_pqtree(profile: Profile) -> PQNode:
     return build(frozenset(profile.candidates))
 
 
+def brute_margins(profile: Profile) -> dict[tuple[str, str], int]:
+    """margin(a, b) for every ordered pair, the diagonal included, counted
+    voter by voter from where each ballot places a and b."""
+    out = {(a, b): 0 for a in profile.candidates for b in profile.candidates}
+    for ranking in profile.voters():
+        for a in profile.candidates:
+            for b in profile.candidates:
+                if ranking.index(a) < ranking.index(b):
+                    out[a, b] += 1
+                    out[b, a] -= 1
+    return out
+
+
 def brute_smith(profile: Profile) -> frozenset[str]:
     """Smallest set whose members all strictly beat every outsider."""
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     best = frozenset(profile.candidates)
     for subset in nonempty_subsets(profile.candidates):
         inside = set(subset)
         outside = set(profile.candidates) - inside
-        if all(m.margin(s, t) > 0 for s in inside for t in outside):
+        if all(m[s, t] > 0 for s in inside for t in outside):
             if len(inside) < len(best):
                 best = frozenset(inside)
     return best
@@ -110,12 +122,12 @@ def brute_smith(profile: Profile) -> frozenset[str]:
 
 def brute_schwartz(profile: Profile) -> frozenset[str]:
     """Union of the inclusion-minimal sets nobody outside strictly beats into."""
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     undominated = []
     for subset in nonempty_subsets(profile.candidates):
         inside = set(subset)
         outside = set(profile.candidates) - inside
-        if all(m.margin(t, s) <= 0 for s in inside for t in outside):
+        if all(m[t, s] <= 0 for s in inside for t in outside):
             undominated.append(frozenset(inside))
     minimal = [
         s for s in undominated if not any(t < s for t in undominated)
@@ -129,18 +141,18 @@ def brute_schwartz(profile: Profile) -> frozenset[str]:
 def brute_split_cycle(profile: Profile) -> frozenset[str]:
     """Enumerate every simple cycle of positive margins by depth-first search,
     drop each cycle's weakest arcs, and keep the candidates left undefeated."""
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     cands = list(profile.candidates)
     doomed: set[tuple[str, str]] = set()
 
     def extend(path: list[str]) -> None:
         for nxt in cands:
-            if m.margin(path[-1], nxt) <= 0:
+            if m[path[-1], nxt] <= 0:
                 continue
             if nxt == path[0]:
                 arcs = list(zip(path, path[1:] + path[:1]))
-                weakest = min(m.margin(a, b) for a, b in arcs)
-                doomed.update(e for e in arcs if m.margin(*e) == weakest)
+                weakest = min(m[a, b] for a, b in arcs)
+                doomed.update(e for e in arcs if m[e] == weakest)
             elif nxt not in path and cands.index(nxt) > cands.index(path[0]):
                 extend(path + [nxt])  # each cycle once, from its first member
 
@@ -149,13 +161,13 @@ def brute_split_cycle(profile: Profile) -> frozenset[str]:
     return frozenset(
         c
         for c in cands
-        if not any(m.margin(d, c) > 0 and (d, c) not in doomed for d in cands)
+        if not any(m[d, c] > 0 and (d, c) not in doomed for d in cands)
     )
 
 
 def brute_path_strength(profile: Profile, a: str, b: str) -> int:
     """Widest path by enumerating every simple path over positive margins."""
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     best = 0
     cands = list(profile.candidates)
 
@@ -165,12 +177,12 @@ def brute_path_strength(profile: Profile, a: str, b: str) -> int:
             best = max(best, width)
             return
         for nxt in cands:
-            if nxt not in seen and m.margin(node, nxt) > 0:
-                walk(nxt, seen | {nxt}, min(width, m.margin(node, nxt)))
+            if nxt not in seen and m[node, nxt] > 0:
+                walk(nxt, seen | {nxt}, min(width, m[node, nxt]))
 
     for nxt in cands:
-        if nxt != a and m.margin(a, nxt) > 0:
-            walk(nxt, {a, nxt}, m.margin(a, nxt))
+        if nxt != a and m[a, nxt] > 0:
+            walk(nxt, {a, nxt}, m[a, nxt])
     return best
 
 
@@ -181,11 +193,11 @@ def brute_path_strength(profile: Profile, a: str, b: str) -> int:
 def is_weak_stack(profile: Profile, ranking) -> bool:
     """Every pairwise order in ``ranking`` is backed by a chain at least as
     strong (by margin) as the reverse pair."""
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     pos = {c: k for k, c in enumerate(ranking)}
 
     def supported(x: str, y: str) -> bool:
-        need = m.margin(y, x)
+        need = m[y, x]
         # chain x = c0 > c1 > ... > ck = y descending in the ranking,
         # every link's margin >= need
         frontier = {x}
@@ -194,7 +206,7 @@ def is_weak_stack(profile: Profile, ranking) -> bool:
             nxt = set()
             for c in frontier:
                 for d in ranking:
-                    if pos[d] > pos[c] and d not in reached and m.margin(c, d) >= need:
+                    if pos[d] > pos[c] and d not in reached and m[c, d] >= need:
                         if d == y:
                             return True
                         nxt.add(d)
@@ -211,9 +223,14 @@ def is_weak_stack(profile: Profile, ranking) -> bool:
 
 def is_strict_stack(profile: Profile, ranking, voter: int) -> bool:
     """Like :func:`is_weak_stack` but every link must beat the reverse pair
-    in voter ``voter``'s pair-priority order."""
-    order = priority_order(profile, voter)
-    rank_of = {pair: k for k, pair in enumerate(order)}
+    in voter ``voter``'s pair-priority order: larger margins first, then the
+    pair whose places on the voter's ballot come first, then the orientation
+    the voter holds."""
+    m = brute_margins(profile)
+    seat = {c: k for k, c in enumerate(list(profile.voters())[voter - 1])}
+    pairs = [(a, b) for a in profile.candidates for b in profile.candidates if a != b]
+    pairs.sort(key=lambda ab: (-m[ab], sorted((seat[ab[0]], seat[ab[1]])), seat[ab[0]]))
+    rank_of = {pair: k for k, pair in enumerate(pairs)}
     pos = {c: k for k, c in enumerate(ranking)}
 
     def supported(x: str, y: str) -> bool:
@@ -246,16 +263,16 @@ def literal_ranked_pairs_orders(profile: Profile, limit: int = 20000):
     exceeds ``limit`` (caller should skip).  Margin groups are processed
     high-to-low; all interleavings within each group are tried.
     """
-    m = majority_matrix(profile)
+    m = brute_margins(profile)
     edges = [
         (a, b)
         for a in profile.candidates
         for b in profile.candidates
-        if a != b and m.margin(a, b) >= 0
+        if a != b and m[a, b] >= 0
     ]
     groups: dict[int, list] = {}
     for e in edges:
-        groups.setdefault(m.margin(*e), []).append(e)
+        groups.setdefault(m[e], []).append(e)
     margins = sorted(groups, reverse=True)
     total = 1
     for margin in margins:
@@ -324,6 +341,11 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
         (w,) = f(packed)
         return w
 
+    def summary(node) -> Profile:
+        """The node's child blocks collapsed, by the public restrict and summarize."""
+        blocks = [child.members for child in node.children]
+        return summarize(restrict(profile, node.members), blocks)
+
     def process(node):
         if node.is_leaf:
             (c,) = node.members
@@ -339,7 +361,7 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
                         gone.add(ch.name)
                 if len(gone) == len(node.children):
                     return None
-                block = single(remove_candidates(_child_summary(profile, node.children), gone))
+                block = single(remove_candidates(summary(node), gone))
                 chosen = next(ch for ch in node.children if ch.name == block)
                 if chosen.is_leaf:
                     return next(iter(chosen.members))
@@ -352,7 +374,7 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
                 walk = alive
             else:
                 pair = {alive[0].name, alive[1].name}
-                block = single(restrict(_child_summary(profile, node.children), pair))
+                block = single(restrict(summary(node), pair))
                 walk = alive if block == alive[0].name else alive[::-1]
             restart = False
             for ch in walk:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_margins
 
 from clonelab.profiles import (
     Profile,
@@ -18,6 +21,9 @@ from clonelab.profiles import (
     serialize_profile,
     summarize,
 )
+from clonelab.pqtree import build_pqtree
+from clonelab.scf import rp_i_ranking, stv_i_ranking
+from clonelab.transform import cc_transform
 
 
 def test_parse_basic():
@@ -218,3 +224,82 @@ def test_majority_matrix_antisymmetry(corpus):
         for a in p.candidates:
             for b in p.candidates:
                 assert mm.margin(a, b) == -mm.margin(b, a)
+
+
+def _matches_voter_by_voter_count(p: Profile) -> bool:
+    mm = majority_matrix(p)
+    brute = brute_margins(p)
+    return mm.as_dict() == {(a, b): v for (a, b), v in brute.items() if a != b} and all(
+        mm.margin(a, a) == 0 for a in p.candidates
+    )
+
+
+def test_majority_matrix_matches_voter_by_voter_count(corpus, fixtures):
+    for p in corpus + list(fixtures.values()):
+        assert _matches_voter_by_voter_count(p), p
+
+
+def _one_ballot(m: int, n: int) -> Profile:
+    cands = tuple(f"c{k}" for k in range(m))
+    return Profile(candidates=cands, groups=((cands[::-1], n),))
+
+
+@pytest.mark.parametrize("n", [2**k + d for k in (1, 2, 7, 8, 15, 16, 31, 32, 63, 64) for d in (-1, 0, 1)])
+def test_majority_matrix_when_one_ballot_holds_every_vote(n):
+    """Every win count equals n, the most a field of the packed kernel holds."""
+    p = _one_ballot(4, n)
+    mm = majority_matrix(p)
+    ranking = p.groups[0][0]
+    for x, a in enumerate(ranking):
+        for y, b in enumerate(ranking):
+            assert mm.margin(a, b) == (0 if a == b else n if x < y else -n)
+    if n < 5000:
+        assert _matches_voter_by_voter_count(p)
+
+
+def test_majority_matrix_field_width_edges():
+    rng = random.Random(6)
+    single = Profile(candidates=("a",), groups=((("a",), 3),))
+    assert majority_matrix(single).as_dict() == {} and majority_matrix(single).margin("a", "a") == 0
+    cands = tuple("abcdefgh")
+    one_voter = Profile(candidates=cands, groups=((tuple(rng.sample(cands, 8)), 1),))
+    assert _matches_voter_by_voter_count(one_voter)
+    counts = [1] * 40  # 10,000 voters over 40 lines, repeated rankings among them
+    for _ in range(10_000 - 40):
+        counts[rng.randrange(40)] += 1
+    pool = [tuple(rng.sample(cands, 8)) for _ in range(25)]
+    grouped = Profile(candidates=cands, groups=tuple((rng.choice(pool), c) for c in counts))
+    assert grouped.n == 10_000 and _matches_voter_by_voter_count(grouped)
+
+
+def test_majority_matrix_and_tree_past_one_byte_codes():
+    """More than 256 candidates: the core codes rankings as tuples, not bytes."""
+    cands = tuple(f"c{k}" for k in range(260))
+    ranking = tuple(random.Random(2).sample(cands, 260))
+    p = Profile(candidates=cands, groups=((ranking, 2), (ranking[::-1], 1), (ranking, 1)))
+    mm = majority_matrix(p)
+    assert mm.margin(ranking[0], ranking[-1]) == 2 and mm.margin(ranking[-1], ranking[3]) == -2
+    assert _matches_voter_by_voter_count(restrict(p, ranking[::37]))
+    tree = build_pqtree(p)  # every interval of the string is a clone set
+    assert tree.kind == "Q" and len(tree.children) == 260
+    assert tree.orientation == "forward" and not tree.tie
+    assert cc_transform("pv", p) == {ranking[0]}  # 3 of 4 voters put it above ranking[1]
+
+
+def test_voter_indices_survive_repeated_rankings_in_separate_groups():
+    """Rankings repeat in groups that are not adjacent; the core counts each
+    distinct ranking once, yet every voter index keeps its own ballot."""
+    r1, r2 = ("a", "b", "c", "d"), ("c", "a", "d", "b")
+    groups = ((r1, 2), (r2, 1), (r1[::-1], 1), (r1, 1), (r2[::-1], 1), (r1[::-1], 2))
+    p = Profile(candidates=("a", "b", "c", "d"), groups=groups)
+    expanded = [r for r, mult in groups for _ in range(mult)]
+    assert all(v == 0 for v in brute_margins(p).values())  # every pair tied
+    for i, ballot in enumerate(expanded, start=1):
+        assert p.voter_ranking(i) == ballot
+        # with every margin tied, ranked pairs follows voter i's own ballot
+        assert rp_i_ranking(p, i) == ballot
+        moved = Profile(
+            candidates=p.candidates,
+            groups=((ballot, 1),) + tuple((r, 1) for k, r in enumerate(expanded) if k != i - 1),
+        )
+        assert stv_i_ranking(p, i) == stv_i_ranking(moved, 1)
