@@ -117,13 +117,16 @@ class Profile:
 
     def voter_ranking(self, i: int) -> Ranking:
         """Return voter ``i``'s ranking (1-based expanded index)."""
-        if i < 1:
-            raise IndexError(f"voter index {i} out of range 1..{self.n}")
-        seen = 0
-        for ranking, mult in self.groups:
-            seen += mult
-            if i <= seen:
-                return ranking
+        return self.groups[self._voter_group(i)][0]
+
+    def _voter_group(self, i: int) -> int:
+        """The index of the group holding voter ``i`` (1-based expanded index)."""
+        if i >= 1:
+            seen = 0
+            for g, (_, mult) in enumerate(self.groups):
+                seen += mult
+                if i <= seen:
+                    return g
         raise IndexError(f"voter index {i} out of range 1..{self.n}")
 
 

@@ -13,12 +13,25 @@ Pairwise rules (``beatpath``, ``split_cycle``, ``smith``, ``schwartz``, the
 uncovered sets) and ranked pairs only consult the majority margins, and all
 of them read the one set of margin rows a profile computes (indexed like
 ``profile.candidates``; see :mod:`clonelab.profiles`).
+
+The elimination rules (``stv``, ``stv_i``, ``alt_smith`` here; ``stv*``,
+``nr``, ``nr_i`` and ``nnr_i`` in :mod:`clonelab.spf`) share one engine on
+the same core: the distinct ballots as candidate codes with their weights,
+and sets of running candidates as integer bitmasks.  A tally counts each
+distinct ballot's top among a mask; reading the ballots backwards gives the
+last places, so a reversed restriction is never built.  Searches over tie
+branches keep one memo per call, keyed by mask, and a run with one voter
+settling ties moves each ballot's top pointer only when its top goes out,
+O(k·m) for the whole run.  Plurality (``pv``, ``first_place_counts``) stays
+one pass over the public groups: a single tally does not repay building the
+core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .profiles import Profile
 
@@ -52,9 +65,26 @@ __all__ = [
 
 
 def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
-    """Plurality tally, optionally restricted to the ``among`` candidates."""
-    pool = set(profile.candidates if among is None else among)
-    counts = {c: 0 for c in pool}
+    """Plurality tally, optionally restricted to the ``among`` candidates.
+
+    Raises:
+        ValueError: when ``among`` is a string, is empty or names a
+            candidate the profile does not have.
+    """
+    if among is None:
+        counts = dict.fromkeys(profile.candidates, 0)
+        for ranking, mult in profile.groups:
+            counts[ranking[0]] += mult
+        return counts
+    if isinstance(among, str):
+        raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
+    pool = set(among)
+    if not pool:
+        raise ValueError("among must name at least one candidate")
+    unknown = pool - set(profile.candidates)
+    if unknown:
+        raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
+    counts = dict.fromkeys(pool, 0)
     for ranking, mult in profile.groups:
         top = next(c for c in ranking if c in pool)
         counts[top] += mult
@@ -69,6 +99,141 @@ def pv(profile: Profile) -> WinnerSet:
 
 
 # ---------------------------------------------------------------------------
+# the elimination engine: distinct ballots as codes, candidate sets as bitmasks
+
+
+def _bits(mask: int) -> list[int]:
+    """The codes of the candidates in ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _full(profile: Profile) -> int:
+    """The mask of every candidate of the profile."""
+    return (1 << len(profile.candidates)) - 1
+
+
+def _names(profile: Profile, mask: int) -> WinnerSet:
+    """The names of the candidates in ``mask``."""
+    cands = profile.candidates
+    return frozenset(cands[c] for c in _bits(mask))
+
+
+def _backwards(ballots) -> list:
+    """Each ballot read bottom to top: its first places among any mask are
+    the original's last places there."""
+    return [ballot[::-1] for ballot in ballots]
+
+
+def _fewest(ballots, weights, mask: int) -> list[int]:
+    """The candidates of ``mask`` with the fewest weighted first places
+    among ``mask`` on ``ballots``."""
+    counts: dict[int, int] = {}
+    for ballot, weight in zip(ballots, weights):
+        for c in ballot:
+            if mask >> c & 1:
+                counts[c] = counts.get(c, 0) + weight
+                break
+    unplaced = mask & ~sum(1 << c for c in counts)
+    if unplaced:  # candidates no ballot puts first tie at zero
+        return _bits(unplaced)
+    low = min(counts.values())
+    return [c for c, v in counts.items() if v == low]
+
+
+def _stv_survivors(ballots, weights, cut: Callable[[int], int] | None = None) -> Callable[[int], int]:
+    """STV under every tie-breaking on ``ballots``: the returned function maps
+    a mask of running candidates to the mask of those who can win from it.
+    With ``cut``, each round first narrows the running mask to ``cut(mask)``.
+    The memo lives as long as the returned function."""
+    memo: dict[int, int] = {}
+
+    def survivors(mask: int) -> int:
+        if not mask & (mask - 1):
+            return mask
+        won = memo.get(mask)
+        if won is None:
+            inner = mask if cut is None else cut(mask)
+            if inner != mask:
+                won = survivors(inner)
+            else:
+                won = 0
+                for loser in _fewest(ballots, weights, mask):
+                    won |= survivors(mask & ~(1 << loser))
+            memo[mask] = won
+        return won
+
+    return survivors
+
+
+def _stv_i_order(ballots, weights, mask: int, seat) -> list[int]:
+    """The codes of ``mask`` in the order STV on ``ballots`` eliminates them
+    when each tie for fewest first places drops the tied candidate with the
+    largest ``seat``; the winner comes last.
+
+    ``top[k]`` is where ballot k's top among the running candidates sits on
+    it, and ``holders[c]`` lists the ballots whose top is c.  Only the
+    holders of an eliminated candidate move on, and no pointer moves back,
+    so the whole run costs O(k·m) ballot reads plus O(m²) for the minima.
+    """
+    counts = dict.fromkeys(_bits(mask), 0)
+    holders: dict[int, list[int]] = {c: [] for c in counts}
+    top = [-1] * len(ballots)
+    moving = range(len(ballots))  # the ballots whose top must move on
+    order = []
+    while True:
+        for k in moving:
+            ballot = ballots[k]
+            p = top[k] + 1
+            while not mask >> ballot[p] & 1:
+                p += 1
+            top[k] = p
+            holders[ballot[p]].append(k)
+            counts[ballot[p]] += weights[k]
+        if len(counts) == 1:
+            order.extend(counts)
+            return order
+        low = min(counts.values())
+        loser = max((c for c, v in counts.items() if v == low), key=seat.__getitem__)
+        del counts[loser]
+        mask &= ~(1 << loser)
+        order.append(loser)
+        moving = holders.pop(loser)
+
+
+def _peel(mask: int, loser_of: Callable[[int], int]) -> list[int]:
+    """The codes of ``mask`` in the order a rule drops them, one a round,
+    ``loser_of(running)`` naming each round's loser; the survivor comes last."""
+    order = []
+    while mask & (mask - 1):
+        loser = loser_of(mask)
+        order.append(loser)
+        mask &= ~(1 << loser)
+    order.append(mask.bit_length() - 1)
+    return order
+
+
+def _voter_seats(profile: Profile, i: int) -> list[int]:
+    """``seat[c]``: the place of candidate code c on voter i's ballot."""
+    core = profile._core
+    ballot = core.ballots[core.slots[profile._voter_group(i)]]
+    seat = [0] * len(ballot)
+    for k, c in enumerate(ballot):
+        seat[c] = k
+    return seat
+
+
+def _stv_i_codes(profile: Profile, i: int) -> list[int]:
+    """:func:`_stv_i_order` over the whole profile, voter i settling ties."""
+    core = profile._core
+    return _stv_i_order(core.ballots, core.weights, _full(profile), _voter_seats(profile, i))
+
+
+# ---------------------------------------------------------------------------
 # sequential elimination
 
 
@@ -78,55 +243,23 @@ def stv(profile: Profile) -> WinnerSet:
     Each round eliminates a candidate with the fewest first-place votes; on a
     tie, every choice of eliminee is followed and the survivors are unioned.
     """
-    memo: dict[frozenset[str], WinnerSet] = {}
-
-    def survivors(remaining: frozenset[str]) -> WinnerSet:
-        if len(remaining) == 1:
-            return remaining
-        if remaining in memo:
-            return memo[remaining]
-        counts = first_place_counts(profile, remaining)
-        fewest = min(counts.values())
-        result: set[str] = set()
-        for loser in sorted(c for c, v in counts.items() if v == fewest):
-            result |= survivors(remaining - {loser})
-        memo[remaining] = frozenset(result)
-        return memo[remaining]
-
-    return survivors(frozenset(profile.candidates))
+    core = profile._core
+    return _names(profile, _stv_survivors(core.ballots, core.weights)(_full(profile)))
 
 
-def _stv_i_eliminations(profile: Profile, i: int) -> list[str]:
-    """Elimination order when voter i settles plurality ties.
+def stv_i(profile: Profile, i: int) -> WinnerSet:
+    """STV with voter i breaking every elimination tie; always decisive.
 
     Among the candidates tied for fewest first-place votes, the one voter i
     ranks lowest goes out.
     """
-    pos = {c: k for k, c in enumerate(profile.voter_ranking(i))}
-    remaining = set(profile.candidates)
-    order: list[str] = []
-    while len(remaining) > 1:
-        counts = first_place_counts(profile, remaining)
-        fewest = min(counts.values())
-        tied = [c for c, v in counts.items() if v == fewest]
-        loser = max(tied, key=lambda c: pos[c])
-        order.append(loser)
-        remaining.remove(loser)
-    return order
-
-
-def stv_i(profile: Profile, i: int) -> WinnerSet:
-    """STV with voter i breaking every elimination tie; always decisive."""
-    gone = _stv_i_eliminations(profile, i)
-    (winner,) = set(profile.candidates) - set(gone)
-    return frozenset({winner})
+    return frozenset({profile.candidates[_stv_i_codes(profile, i)[-1]]})
 
 
 def stv_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
     """Reverse elimination order of :func:`stv_i` (winner first)."""
-    gone = _stv_i_eliminations(profile, i)
-    (winner,) = set(profile.candidates) - set(gone)
-    return (winner, *reversed(gone))
+    cands = profile.candidates
+    return tuple(cands[c] for c in reversed(_stv_i_codes(profile, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +510,31 @@ def split_cycle(profile: Profile) -> WinnerSet:
     )
 
 
-def _source_components(names, margins, minimum: int) -> WinnerSet:
-    """Union of the source components of the ``margin >= minimum`` digraph on
-    ``names`` (rows of ``margins`` indexed alike): the candidates that reach
-    back everyone who reaches them."""
-    reach = [  # bit b of reach[a] is set when a reaches b
+def _digraph(rows, minimum: int) -> list[int]:
+    """Bit b of ``arcs[a]`` is set when margin(a, b) >= ``minimum``, b != a."""
+    return [
         sum(1 << b for b, w in enumerate(row) if w >= minimum and b != a)
-        for a, row in enumerate(margins)
+        for a, row in enumerate(rows)
     ]
-    for k, rk in enumerate(reach):
-        for a, ra in enumerate(reach):
-            if ra >> k & 1:
+
+
+def _source_components(arcs: list[int], mask: int) -> int:
+    """The mask of the union of the source components of the digraph
+    ``arcs`` on the candidates of ``mask``: those that reach back everyone
+    who reaches them."""
+    members = _bits(mask)
+    reach = {a: arcs[a] & mask for a in members}  # bit b of reach[a]: a reaches b
+    for k, rk in reach.items():
+        bit = 1 << k
+        for a, ra in reach.items():
+            if ra & bit:
                 reach[a] = ra | rk
-    return frozenset(
-        c
-        for a, c in enumerate(names)
-        if all(reach[a] >> b & 1 for b, rb in enumerate(reach) if rb >> a & 1 and b != a)
-    )
+    out = 0
+    for a, ra in reach.items():
+        ra |= 1 << a
+        if all(ra >> b & 1 for b, rb in reach.items() if rb >> a & 1):
+            out |= 1 << a
+    return out
 
 
 def smith(profile: Profile) -> WinnerSet:
@@ -401,12 +542,12 @@ def smith(profile: Profile) -> WinnerSet:
 
     Beats-or-ties is complete, so its digraph has exactly one source component.
     """
-    return _source_components(profile.candidates, profile._core.rows, 0)
+    return _names(profile, _source_components(_digraph(profile._core.rows, 0), _full(profile)))
 
 
 def schwartz(profile: Profile) -> WinnerSet:
     """Union of the undominated components of the strict-defeat digraph."""
-    return _source_components(profile.candidates, profile._core.rows, 1)
+    return _names(profile, _source_components(_digraph(profile._core.rows, 1), _full(profile)))
 
 
 def alt_smith(profile: Profile) -> WinnerSet:
@@ -418,29 +559,9 @@ def alt_smith(profile: Profile) -> WinnerSet:
     profile's own, so each Smith set is read off the profile's rows.
     """
     core = profile._core
-    memo: dict[frozenset[str], WinnerSet] = {}
-
-    def run(remaining: frozenset[str]) -> WinnerSet:
-        if len(remaining) == 1:
-            return remaining
-        if remaining in memo:
-            return memo[remaining]
-        names = [c for c in profile.candidates if c in remaining]
-        codes = [core.index[c] for c in names]
-        inner = _source_components(names, [[core.rows[a][b] for b in codes] for a in codes], 0)
-        if inner != remaining:
-            result = run(inner)
-        else:
-            counts = first_place_counts(profile, remaining)
-            fewest = min(counts.values())
-            collected: set[str] = set()
-            for loser in sorted(c for c, v in counts.items() if v == fewest):
-                collected |= run(remaining - {loser})
-            result = frozenset(collected)
-        memo[remaining] = result
-        return result
-
-    return run(frozenset(profile.candidates))
+    arcs = _digraph(core.rows, 0)
+    survivors = _stv_survivors(core.ballots, core.weights, lambda mask: _source_components(arcs, mask))
+    return _names(profile, survivors(_full(profile)))
 
 
 # ---------------------------------------------------------------------------

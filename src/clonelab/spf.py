@@ -4,6 +4,13 @@ These return a non-empty frozenset of complete rankings rather than a winner
 set.  Ties in the underlying procedure produce several rankings; the
 voter-indexed variants are always single-valued.
 
+The elimination-order rules (``stv*``, ``nr``, ``nr_i``, ``nnr_i``) run on
+the elimination engine of :mod:`clonelab.scf`, which reads the profile's
+integer core: running candidates are bitmasks, the reversed profile's first
+places are the core's ballots read backwards, and no profile is built per
+round.  ``nr`` keeps one memo of the reversed profile's STV winners per
+call, since they depend only on the running set.
+
 The two ballot surgeries used by the composition and independence checks
 live here too: ``neg`` collapses a candidate block to a fresh name placed
 where the block's best member sat, and ``substitute`` splices a ranking of
@@ -16,15 +23,20 @@ from typing import Callable, Iterable
 
 from . import scf
 from .clones import EnumerationCapExceeded
-from .profiles import Profile, Ranking, restrict, reverse_profile
+from .profiles import Profile, Ranking
 from .scf import (
     WinnerSet,
-    first_place_counts,
+    _backwards,
+    _bits,
+    _fewest,
+    _full,
+    _peel,
+    _stv_i_order,
+    _stv_survivors,
+    _voter_seats,
     rp_i_ranking,
     rp_put_rankings,
     strength_matrix,
-    stv,
-    stv_i,
     stv_i_ranking,
 )
 
@@ -102,27 +114,33 @@ def substitute(ranking: Ranking, a: str, inner: Ranking) -> Ranking:
 # elimination-order rules
 
 
+def _orders(profile: Profile, losers: Callable[[int], list[int]]) -> RankingSet:
+    """Every order in which candidates can be eliminated one a round, survivor
+    first, when ``losers(running)`` lists the codes that may go out of the
+    running mask; each is followed, and each mask's orders are found once."""
+    cands = profile.candidates
+    memo: dict[int, RankingSet] = {}
+
+    def orders(mask: int) -> RankingSet:
+        if not mask & (mask - 1):
+            return frozenset({(cands[mask.bit_length() - 1],)})
+        out = memo.get(mask)
+        if out is None:
+            out = memo[mask] = frozenset({
+                head + (cands[loser],)
+                for loser in losers(mask)
+                for head in orders(mask & ~(1 << loser))
+            })
+        return out
+
+    return orders(_full(profile))
+
+
 def stv_star(profile: Profile) -> RankingSet:
     """All STV rankings: candidates ordered by reverse elimination, every
     plurality tie branched."""
-    memo: dict[frozenset[str], RankingSet] = {}
-
-    def orders(remaining: frozenset[str]) -> RankingSet:
-        if len(remaining) == 1:
-            (c,) = remaining
-            return frozenset({(c,)})
-        if remaining in memo:
-            return memo[remaining]
-        counts = first_place_counts(profile, remaining)
-        fewest = min(counts.values())
-        out: set[Ranking] = set()
-        for loser in sorted(c for c, v in counts.items() if v == fewest):
-            for head in orders(remaining - {loser}):
-                out.add(head + (loser,))
-        memo[remaining] = frozenset(out)
-        return memo[remaining]
-
-    return orders(frozenset(profile.candidates))
+    core = profile._core
+    return _orders(profile, lambda mask: _fewest(core.ballots, core.weights, mask))
 
 
 def stv_i_star(profile: Profile, i: int) -> RankingSet:
@@ -132,51 +150,49 @@ def stv_i_star(profile: Profile, i: int) -> RankingSet:
 
 def nr_star(profile: Profile) -> RankingSet:
     """Nested runoff: each round eliminates an STV winner of the reversed
-    profile (the consensually worst candidate), branching on ties."""
+    profile (the consensually worst candidate), branching on ties.
 
-    def orders(remaining: frozenset[str]) -> RankingSet:
-        if len(remaining) == 1:
-            (c,) = remaining
-            return frozenset({(c,)})
-        current = restrict(profile, remaining)
-        out: set[Ranking] = set()
-        for loser in sorted(stv(reverse_profile(current))):
-            for head in orders(remaining - {loser}):
-                out.add(head + (loser,))
-        return frozenset(out)
+    The reversed profile's STV winners from a running set depend only on that
+    set, so one memo of them serves every round of every branch.
+    """
+    core = profile._core
+    worst = _stv_survivors(_backwards(core.ballots), core.weights)
+    return _orders(profile, lambda mask: _bits(worst(mask)))
 
-    return orders(frozenset(profile.candidates))
+
+def _ranking(profile: Profile, order: list[int]) -> RankingSet:
+    """The one ranking that reverses an elimination order of codes."""
+    cands = profile.candidates
+    return frozenset({tuple(cands[c] for c in reversed(order))})
 
 
 def nr_i_star(profile: Profile, i: int) -> RankingSet:
     """Nested runoff where the reversed-profile STV uses voter i's reversed
     ballot for ties; single-valued."""
-
-    def order(remaining: frozenset[str]) -> Ranking:
-        if len(remaining) == 1:
-            (c,) = remaining
-            return (c,)
-        current = restrict(profile, remaining)
-        (loser,) = stv_i(reverse_profile(current), i)
-        return order(remaining - {loser}) + (loser,)
-
-    return frozenset({order(frozenset(profile.candidates))})
+    core = profile._core
+    back, weights = _backwards(core.ballots), core.weights
+    seat = _voter_seats(profile, i)
+    back_seat = [len(seat) - 1 - k for k in seat]
+    return _ranking(
+        profile, _peel(_full(profile), lambda mask: _stv_i_order(back, weights, mask, back_seat)[-1])
+    )
 
 
 def nnr_i_star(profile: Profile, i: int) -> RankingSet:
     """Doubly nested runoff: the reversed profile's *nested-runoff* winner is
-    eliminated each round; single-valued."""
+    eliminated each round; single-valued.
 
-    def order(remaining: frozenset[str]) -> Ranking:
-        if len(remaining) == 1:
-            (c,) = remaining
-            return (c,)
-        current = restrict(profile, remaining)
-        (anti,) = nr_i_star(reverse_profile(current), i)
-        loser = anti[0]
-        return order(remaining - {loser}) + (loser,)
+    Nested runoff on the reversed profile runs its inner STV on the ballots
+    the right way up, with voter i's own ballot settling ties.
+    """
+    core = profile._core
+    ballots, weights = core.ballots, core.weights
+    seat = _voter_seats(profile, i)
 
-    return frozenset({order(frozenset(profile.candidates))})
+    def anti_winner(mask: int) -> int:
+        return _peel(mask, lambda inner: _stv_i_order(ballots, weights, inner, seat)[-1])[-1]
+
+    return _ranking(profile, _peel(_full(profile), anti_winner))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from itertools import chain, combinations, permutations, product
 from clonelab.clones import clone_metric
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
-from clonelab.profiles import Profile, remove_candidates, restrict, summarize
+from clonelab.profiles import Profile, remove_candidates, restrict, reverse_profile, summarize
 from clonelab.transform import resolve_rule
 
 
@@ -184,6 +184,114 @@ def brute_path_strength(profile: Profile, a: str, b: str) -> int:
         if nxt != a and m[a, nxt] > 0:
             walk(nxt, {a, nxt}, m[a, nxt])
     return best
+
+
+# ---------------------------------------------------------------------------
+# elimination rules, run round by round on restricted profiles
+
+
+def brute_first_places(profile: Profile, among=None) -> dict[str, int]:
+    """First places among ``among`` (every candidate by default), counted
+    voter by voter."""
+    pool = set(profile.candidates if among is None else among)
+    out = dict.fromkeys(pool, 0)
+    for ranking in profile.voters():
+        out[next(c for c in ranking if c in pool)] += 1
+    return out
+
+
+def _fewest(profile: Profile, among=None) -> list[str]:
+    """The candidates tied for fewest first places among ``among``, sorted."""
+    counts = brute_first_places(profile, among)
+    low = min(counts.values())
+    return sorted(c for c, v in counts.items() if v == low)
+
+
+def _brute_orders(profile: Profile, losers) -> frozenset[tuple[str, ...]]:
+    """Every order of a one-at-a-time elimination, survivor first, where
+    ``losers(current)`` lists who may go next from the restricted profile
+    ``current``; each possible loser is followed."""
+    memo: dict[frozenset[str], frozenset] = {}
+
+    def orders(remaining: frozenset[str]) -> frozenset:
+        if len(remaining) == 1:
+            return frozenset({tuple(remaining)})
+        if remaining not in memo:
+            current = restrict(profile, remaining)
+            memo[remaining] = frozenset(
+                head + (loser,)
+                for loser in losers(current)
+                for head in orders(remaining - {loser})
+            )
+        return memo[remaining]
+
+    return orders(frozenset(profile.candidates))
+
+
+def brute_stv_star(profile: Profile) -> frozenset[tuple[str, ...]]:
+    """Every STV order: each round drops one of the fewest-first-place candidates."""
+    return _brute_orders(profile, _fewest)
+
+
+def brute_stv(profile: Profile) -> frozenset[str]:
+    """STV winners under every tie-breaking: the tops of every STV order."""
+    return frozenset(r[0] for r in brute_stv_star(profile))
+
+
+def brute_nr_star(profile: Profile) -> frozenset[tuple[str, ...]]:
+    """Nested runoff: each round drops an STV winner of the reversed profile."""
+    return _brute_orders(profile, lambda current: sorted(brute_stv(reverse_profile(current))))
+
+
+def brute_stv_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
+    """STV where voter i drops whichever tied candidate they rank lowest."""
+    ballot = list(profile.voters())[i - 1]
+    remaining = set(profile.candidates)
+    gone: list[str] = []
+    while len(remaining) > 1:
+        tied = _fewest(profile, remaining)
+        loser = max(tied, key=ballot.index)
+        gone.append(loser)
+        remaining.remove(loser)
+    return (*remaining, *reversed(gone))
+
+
+def brute_nr_i_star(profile: Profile, i: int) -> tuple[str, ...]:
+    """Nested runoff dropping the reversed profile's ``stv_i`` winner each round."""
+    (order,) = _brute_orders(
+        profile, lambda current: [brute_stv_i_ranking(reverse_profile(current), i)[0]]
+    )
+    return order
+
+
+def brute_nnr_i_star(profile: Profile, i: int) -> tuple[str, ...]:
+    """Dropping the reversed profile's ``nr_i`` winner each round."""
+    (order,) = _brute_orders(
+        profile, lambda current: [brute_nr_i_star(reverse_profile(current), i)[0]]
+    )
+    return order
+
+
+def brute_alt_smith(profile: Profile) -> frozenset[str]:
+    """Cut to the Smith set, drop one of the fewest-first-place candidates,
+    and repeat, following every tied choice."""
+    memo: dict[frozenset[str], frozenset[str]] = {}
+
+    def run(remaining: frozenset[str]) -> frozenset[str]:
+        if remaining not in memo:
+            current = restrict(profile, remaining)
+            top = brute_smith(current)
+            if len(top) == 1:
+                memo[remaining] = top
+            elif top != remaining:
+                memo[remaining] = run(top)
+            else:
+                memo[remaining] = frozenset().union(
+                    *(run(remaining - {loser}) for loser in _fewest(current))
+                )
+        return memo[remaining]
+
+    return run(frozenset(profile.candidates))
 
 
 # ---------------------------------------------------------------------------
