@@ -72,18 +72,16 @@ def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
             candidate the profile does not have.
     """
     if among is None:
-        counts = dict.fromkeys(profile.candidates, 0)
-        for ranking, mult in profile.groups:
-            counts[ranking[0]] += mult
-        return counts
-    if isinstance(among, str):
-        raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
-    pool = set(among)
-    if not pool:
-        raise ValueError("among must name at least one candidate")
-    unknown = pool - set(profile.candidates)
-    if unknown:
-        raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
+        pool = set(profile.candidates)
+    else:
+        if isinstance(among, str):
+            raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
+        pool = set(among)
+        if not pool:
+            raise ValueError("among must name at least one candidate")
+        unknown = pool - set(profile.candidates)
+        if unknown:
+            raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
     counts = dict.fromkeys(pool, 0)
     for ranking, mult in profile.groups:
         top = next(c for c in ranking if c in pool)
@@ -121,12 +119,6 @@ def _names(profile: Profile, mask: int) -> WinnerSet:
     """The names of the candidates in ``mask``."""
     cands = profile.candidates
     return frozenset(cands[c] for c in _bits(mask))
-
-
-def _backwards(ballots) -> list:
-    """Each ballot read bottom to top: its first places among any mask are
-    the original's last places there."""
-    return [ballot[::-1] for ballot in ballots]
 
 
 def _fewest(ballots, weights, mask: int) -> list[int]:

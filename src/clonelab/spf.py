@@ -26,7 +26,6 @@ from .clones import EnumerationCapExceeded
 from .profiles import Profile, Ranking
 from .scf import (
     WinnerSet,
-    _backwards,
     _bits,
     _fewest,
     _full,
@@ -156,7 +155,7 @@ def nr_star(profile: Profile) -> RankingSet:
     set, so one memo of them serves every round of every branch.
     """
     core = profile._core
-    worst = _stv_survivors(_backwards(core.ballots), core.weights)
+    worst = _stv_survivors([b[::-1] for b in core.ballots], core.weights)
     return _orders(profile, lambda mask: _bits(worst(mask)))
 
 
@@ -170,7 +169,7 @@ def nr_i_star(profile: Profile, i: int) -> RankingSet:
     """Nested runoff where the reversed-profile STV uses voter i's reversed
     ballot for ties; single-valued."""
     core = profile._core
-    back, weights = _backwards(core.ballots), core.weights
+    back, weights = [b[::-1] for b in core.ballots], core.weights
     seat = _voter_seats(profile, i)
     back_seat = [len(seat) - 1 - k for k in seat]
     return _ranking(

@@ -3,7 +3,6 @@ alternate Smith) against the round-by-round oracles in ``oracles.py``, plus
 the input handling of ``first_place_counts``."""
 
 import random
-from itertools import permutations
 
 import pytest
 
@@ -94,14 +93,6 @@ def test_voter_index_inside_a_repeated_ranking_group():
     # each of the three rankings breaks ties its own way, so a voter read
     # off the wrong ballot (voter 6 off the third one, say) would show
     assert len(stv_rankings) == len(nr_rankings) == 3
-
-
-def test_first_place_counts_among():
-    p = Profile(candidates=("a", "b", "c"), groups=((("a", "b", "c"), 2), (("c", "b", "a"), 1)))
-    assert first_place_counts(p, ["b", "c"]) == {"b": 2, "c": 1}
-    assert first_place_counts(p, ("c",)) == {"c": 3}
-    for perm in permutations("abc"):
-        assert first_place_counts(p, perm) == {"a": 2, "b": 0, "c": 1}
 
 
 def test_first_place_counts_rejects_unknown_candidates(fixtures):

@@ -49,6 +49,10 @@ def test_plurality(fixtures):
     assert pv(fixtures["P2"]) == {"b"}
     assert first_place_counts(fixtures["P1"]) == {"a": 4, "b": 6, "c": 0, "d": 5}
     assert first_place_counts(fixtures["P1"], among={"b", "c"}) == {"b": 8, "c": 7}
+    assert first_place_counts(fixtures["P1"], among=["c", "b"]) == {"b": 8, "c": 7}
+    assert first_place_counts(fixtures["P1"], among=("c",)) == {"c": 15}
+    for perm in permutations("abcd"):
+        assert first_place_counts(fixtures["P1"], among=perm) == {"a": 4, "b": 6, "c": 0, "d": 5}
 
 
 def test_plurality_collapses_under_cloning(fixtures):
