@@ -222,7 +222,7 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
         key = (node.members, shown)
         block = game._decisions.get(key)
         if block is None:
-            packed = restrict(_child_summary(profile, node.children), shown)
+            packed = _child_summary(profile, [ch for ch in node.children if ch.name in shown])
             block = _single_winner(f, packed, f"blocks of {sorted(node.members)}")
             game._decisions[key] = block
         return block

@@ -14,15 +14,24 @@ uncovered sets) and ranked pairs only consult the majority margins, and all
 of them read the one set of margin rows a profile computes (indexed like
 ``profile.candidates``; see :mod:`clonelab.profiles`).
 
+Both ranked-pairs flavours share one lock step over candidate codes: the
+locked graph is kept as its closure, one bitmask per candidate of everyone
+it leads to, so a pair is tested with one bit and locked with one pass, and
+the order is read off by how many each candidate leads to.  ``rp_i`` locks
+in voter i's priority order; ``rp_put`` searches closures, not sets of
+locked pairs.  PUT winner determination is NP-complete (Brill & Fischer,
+AAAI 2012), and the search has no cap.
+
 The elimination rules (``stv``, ``stv_i``, ``alt_smith`` here; ``stv*``,
 ``nr``, ``nr_i`` and ``nnr_i`` in :mod:`clonelab.spf`) share one engine on
 the same core: the distinct ballots as candidate codes with their weights,
 and sets of running candidates as integer bitmasks.  A tally counts each
 distinct ballot's top among a mask; reading the ballots backwards gives the
 last places, so a reversed restriction is never built.  Searches over tie
-branches keep one memo per call, keyed by mask, and a run with one voter
-settling ties moves each ballot's top pointer only when its top goes out,
-O(k·m) for the whole run.  Plurality (``pv``, ``first_place_counts``) stays
+branches recurse through module-level functions over one memo keyed by
+mask, which the calling rule makes, so it goes when the rule returns.  A
+run with one voter settling ties moves each ballot's top pointer only when
+its top goes out, O(k·m) for the whole run.  Plurality (``pv``, ``first_place_counts``) stays
 one pass over the public groups: a single tally does not repay building the
 core.
 """
@@ -137,29 +146,26 @@ def _fewest(ballots, weights, mask: int) -> list[int]:
     return [c for c, v in counts.items() if v == low]
 
 
-def _stv_survivors(ballots, weights, cut: Callable[[int], int] | None = None) -> Callable[[int], int]:
-    """STV under every tie-breaking on ``ballots``: the returned function maps
-    a mask of running candidates to the mask of those who can win from it.
-    With ``cut``, each round first narrows the running mask to ``cut(mask)``.
-    The memo lives as long as the returned function."""
-    memo: dict[int, int] = {}
-
-    def survivors(mask: int) -> int:
-        if not mask & (mask - 1):
-            return mask
-        won = memo.get(mask)
-        if won is None:
-            inner = mask if cut is None else cut(mask)
-            if inner != mask:
-                won = survivors(inner)
-            else:
-                won = 0
-                for loser in _fewest(ballots, weights, mask):
-                    won |= survivors(mask & ~(1 << loser))
-            memo[mask] = won
-        return won
-
-    return survivors
+def _stv_winners(
+    ballots, weights, mask: int, memo: dict[int, int], cut: Callable[[int], int] | None = None
+) -> int:
+    """STV under every tie-breaking on ``ballots``: the mask of those who can
+    win from the running ``mask``.  With ``cut``, each round first narrows the
+    running mask to ``cut(mask)``.  ``memo`` maps each mask searched so far to
+    its winners; the caller makes it, so it goes when the caller is done."""
+    if not mask & (mask - 1):
+        return mask
+    won = memo.get(mask)
+    if won is None:
+        inner = mask if cut is None else cut(mask)
+        if inner != mask:
+            won = _stv_winners(ballots, weights, inner, memo, cut)
+        else:
+            won = 0
+            for loser in _fewest(ballots, weights, mask):
+                won |= _stv_winners(ballots, weights, mask & ~(1 << loser), memo, cut)
+        memo[mask] = won
+    return won
 
 
 def _stv_i_order(ballots, weights, mask: int, seat) -> list[int]:
@@ -236,7 +242,7 @@ def stv(profile: Profile) -> WinnerSet:
     tie, every choice of eliminee is followed and the survivors are unioned.
     """
     core = profile._core
-    return _names(profile, _stv_survivors(core.ballots, core.weights)(_full(profile)))
+    return _names(profile, _stv_winners(core.ballots, core.weights, _full(profile), {}))
 
 
 def stv_i(profile: Profile, i: int) -> WinnerSet:
@@ -298,64 +304,40 @@ def priority_order(profile: Profile, i: int) -> tuple[tuple[str, str], ...]:
     return tuple((cands[a], cands[b]) for a, b in _priority_pairs(profile, i))
 
 
-def _reaches(locked: set[tuple[str, str]], start: str, goal: str) -> bool:
-    """Is there a directed path start → goal through the locked edges?"""
-    if start == goal:
-        return True
-    stack, seen = [start], {start}
-    while stack:
-        node = stack.pop()
-        for a, b in locked:
-            if a == node and b not in seen:
-                if b == goal:
-                    return True
-                seen.add(b)
-                stack.append(b)
-    return False
+def _lock(reach: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """The closure ``reach`` with a→b locked: bit x of ``reach[c]`` is set
+    when the locked graph leads from c to x, so a, and everyone leading to
+    a, now also leads to b and to everyone b leads to."""
+    gained = reach[b] | 1 << b
+    return tuple([rx | gained if x == a or rx >> a & 1 else rx for x, rx in enumerate(reach)])
 
 
-def _sources(locked, candidates) -> list[str]:
-    targets = {b for _, b in locked}
-    return [c for c in candidates if c not in targets]
+def _ranking_of(profile: Profile, reach: tuple[int, ...]) -> tuple[str, ...]:
+    """The total order a closure locks, read off by how many each candidate
+    leads to."""
+    order = sorted(range(len(reach)), key=lambda c: -reach[c].bit_count())
+    return tuple(profile.candidates[c] for c in order)
 
 
-def _ranking_from_locked(locked, candidates) -> tuple[str, ...]:
-    """Peel unique sources off a locked graph whose closure is a total order."""
-    remaining = list(candidates)
-    out: list[str] = []
-    edges = set(locked)
-    while remaining:
-        sources = _sources(edges, remaining)
-        if len(sources) != 1:
-            raise AssertionError(f"locked graph is not a total order: sources {sources}")
-        (src,) = sources
-        out.append(src)
-        remaining.remove(src)
-        edges = {(a, b) for a, b in edges if a != src}
-    return tuple(out)
+def _open(reach: tuple[int, ...], a: int, b: int) -> bool:
+    """Does locking a→b change ``reach``: neither implied nor closing a cycle?"""
+    return not (reach[a] >> b & 1 or reach[b] >> a & 1)
 
 
 def rp_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
     """Full ranked-pairs order with voter i's priority order.
 
     Pairs of non-negative margin are locked in priority order unless the
-    locked graph already leads back; ``reach[a]`` holds, as a bitmask, every
-    candidate a leads to, so each test is one bit and each lock one pass.
-    The result is a total order, read off by how many each candidate leads to.
+    locked graph already leads back; see :func:`_lock`.
     """
     rows = profile._core.rows
-    reach = [0] * len(rows)
+    reach = (0,) * len(rows)
     for a, b in _priority_pairs(profile, i):
         if rows[a][b] < 0:
             break  # every later pair has a negative margin too
-        if reach[b] >> a & 1:
-            continue  # b already leads to a: locking a->b would close a cycle
-        gained = reach[b] | 1 << b
-        for x, rx in enumerate(reach):
-            if x == a or rx >> a & 1:
-                reach[x] = rx | gained
-    order = sorted(range(len(rows)), key=lambda c: -reach[c].bit_count())
-    return tuple(profile.candidates[c] for c in order)
+        if _open(reach, a, b):
+            reach = _lock(reach, a, b)
+    return _ranking_of(profile, reach)
 
 
 def rp_i(profile: Profile, i: int) -> WinnerSet:
@@ -363,51 +345,58 @@ def rp_i(profile: Profile, i: int) -> WinnerSet:
     return frozenset({rp_i_ranking(profile, i)[0]})
 
 
-def _maximal_acyclic_extensions(locked: frozenset, group: list) -> set[frozenset]:
-    """All maximal ways of locking edges from ``group`` on top of ``locked``.
-
-    Equivalent to processing the group's edges in every order: an edge left
-    out by some order closes a cycle with what that order locked, so the
-    locked sets reachable are exactly the maximal acyclic extensions.
-    """
-    results: set[frozenset] = set()
-    seen: set[frozenset] = set()
-
-    def grow(current: frozenset) -> None:
-        if current in seen:
-            return
-        seen.add(current)
-        addable = [e for e in group if e not in current and not _reaches(current, e[1], e[0])]
-        if not addable:
-            results.add(current)
-            return
-        for e in addable:
-            grow(current | {e})
-
-    grow(locked)
-    return results
-
-
-def _rp_final_lockings(profile: Profile) -> set[frozenset]:
-    cands = profile.candidates
-    by_margin: dict[int, list] = {}
-    for a, row in enumerate(profile._core.rows):
-        for b, w in enumerate(row):
-            if a != b and w >= 0:
-                by_margin.setdefault(w, []).append((cands[a], cands[b]))
-    states: set[frozenset] = {frozenset()}
-    for margin in sorted(by_margin, reverse=True):
-        group = by_margin[margin]
-        states = {ext for st in states for ext in _maximal_acyclic_extensions(st, group)}
-    return states
+def _lock_acyclic(reach: tuple[int, ...], group: list[tuple[int, int]]) -> tuple[int, ...]:
+    """``reach`` with every pair of ``group`` locked that lies on no cycle of
+    the locked graph and the whole group: no order of the group can find
+    such a pair closing a cycle, so every order locks it."""
+    whole = reach
+    for a, b in group:
+        whole = _lock(whole, a, b)
+    for a, b in group:
+        if not whole[b] >> a & 1:
+            reach = _lock(reach, a, b)
+    return reach
 
 
 def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
-    """Every ranked-pairs order reachable by some tie-breaking order."""
-    return frozenset(
-        _ranking_from_locked(locked, profile.candidates)
-        for locked in _rp_final_lockings(profile)
-    )
+    """Every ranked-pairs order reachable by some tie-breaking order.
+
+    Pairs are taken a margin group at a time, largest first.  Processing a
+    group in some order locks a maximal set of its pairs that closes no
+    cycle, and which later pairs lock depends only on the closure so far,
+    so the search keeps distinct closures and, from each, locks every open
+    pair of the group in turn until none is open.  Two shortcuts keep it
+    small.  A pair on no cycle of the locked graph and the whole group is
+    locked by every order, so it is locked at once.  At margin 0 every
+    order ends with an open pair locked one way or the other, and the ends
+    with a→b are those of locking a→b first, so the search branches on one
+    open pair's two orientations only.
+    """
+    rows = profile._core.rows
+    by_margin: dict[int, list[tuple[int, int]]] = {}
+    for a, row in enumerate(rows):
+        for b, w in enumerate(row):
+            if a != b and w >= 0:
+                by_margin.setdefault(w, []).append((a, b))
+    states = {(0,) * len(rows)}
+    for margin in sorted(by_margin, reverse=True):
+        group = by_margin[margin]
+        stack = [_lock_acyclic(reach, group) for reach in states]
+        seen = set(stack)
+        states = set()
+        while stack:
+            reach = stack.pop()
+            pairs = [(a, b) for a, b in group if _open(reach, a, b)]
+            if not pairs:
+                states.add(reach)
+            elif margin == 0:  # the group holds both orientations of each pair
+                a, b = pairs[0]
+                pairs = [(a, b), (b, a)]
+            for nxt in (_lock(reach, a, b) for a, b in pairs):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return frozenset(_ranking_of(profile, reach) for reach in states)
 
 
 def rp_put(profile: Profile) -> WinnerSet:
@@ -415,18 +404,20 @@ def rp_put(profile: Profile) -> WinnerSet:
     return frozenset(r[0] for r in rp_put_rankings(profile))
 
 
+def _distinct_voters(profile: Profile) -> list[int]:
+    """For each distinct ranking of the profile, the first voter casting it."""
+    voters: list[int] = []
+    i = 1
+    for slot, (_, mult) in zip(profile._core.slots, profile.groups):
+        if slot == len(voters):  # the core numbers rankings as they first appear
+            voters.append(i)
+        i += mult
+    return voters
+
+
 def rp_n(profile: Profile) -> WinnerSet:
     """Union of ``rp_i`` over every voter of the profile."""
-    winners: set[str] = set()
-    seen_rankings: set = set()
-    i = 0
-    for ranking, mult in profile.groups:
-        i += mult
-        if ranking in seen_rankings:
-            continue
-        seen_rankings.add(ranking)
-        winners |= rp_i(profile, i)  # any voter of the group; same ballot
-    return frozenset(winners)
+    return frozenset(rp_i_ranking(profile, i)[0] for i in _distinct_voters(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +468,9 @@ def strength_matrix(profile: Profile) -> StrengthMatrix:
 
 def beatpath(profile: Profile) -> WinnerSet:
     """Beats-or-ties everyone in widest-path strength."""
-    s = strength_matrix(profile)
+    s = _widest_paths(profile._core.rows)
     return frozenset(
-        a
-        for a in profile.candidates
-        if all(s.strength(a, b) >= s.strength(b, a) for b in profile.candidates if b != a)
+        c for a, c in enumerate(profile.candidates) if all(w >= s[b][a] for b, w in enumerate(s[a]))
     )
 
 
@@ -552,8 +541,10 @@ def alt_smith(profile: Profile) -> WinnerSet:
     """
     core = profile._core
     arcs = _digraph(core.rows, 0)
-    survivors = _stv_survivors(core.ballots, core.weights, lambda mask: _source_components(arcs, mask))
-    return _names(profile, survivors(_full(profile)))
+    won = _stv_winners(
+        core.ballots, core.weights, _full(profile), {}, lambda mask: _source_components(arcs, mask)
+    )
+    return _names(profile, won)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,16 @@ from .profiles import Profile, Ranking
 from .scf import (
     WinnerSet,
     _bits,
+    _distinct_voters,
     _fewest,
     _full,
     _peel,
     _stv_i_order,
-    _stv_survivors,
+    _stv_winners,
     _voter_seats,
+    _widest_paths,
     rp_i_ranking,
     rp_put_rankings,
-    strength_matrix,
     stv_i_ranking,
 )
 
@@ -113,33 +114,33 @@ def substitute(ranking: Ranking, a: str, inner: Ranking) -> Ranking:
 # elimination-order rules
 
 
-def _orders(profile: Profile, losers: Callable[[int], list[int]]) -> RankingSet:
-    """Every order in which candidates can be eliminated one a round, survivor
-    first, when ``losers(running)`` lists the codes that may go out of the
-    running mask; each is followed, and each mask's orders are found once."""
-    cands = profile.candidates
-    memo: dict[int, RankingSet] = {}
-
-    def orders(mask: int) -> RankingSet:
-        if not mask & (mask - 1):
-            return frozenset({(cands[mask.bit_length() - 1],)})
-        out = memo.get(mask)
-        if out is None:
-            out = memo[mask] = frozenset({
-                head + (cands[loser],)
-                for loser in losers(mask)
-                for head in orders(mask & ~(1 << loser))
-            })
-        return out
-
-    return orders(_full(profile))
+def _orders(
+    cands: Ranking, losers: Callable[[int], list[int]], mask: int, memo: dict[int, RankingSet]
+) -> RankingSet:
+    """Every order in which the codes of ``mask`` can be eliminated one a
+    round, survivor first, as rankings of ``cands``, when ``losers(running)``
+    lists the codes that may go out of the running mask; each is followed.
+    ``memo`` maps each mask searched so far to its orders; the caller makes
+    it, so it goes when the caller is done."""
+    if not mask & (mask - 1):
+        return frozenset({(cands[mask.bit_length() - 1],)})
+    out = memo.get(mask)
+    if out is None:
+        out = memo[mask] = frozenset({
+            head + (cands[loser],)
+            for loser in losers(mask)
+            for head in _orders(cands, losers, mask & ~(1 << loser), memo)
+        })
+    return out
 
 
 def stv_star(profile: Profile) -> RankingSet:
     """All STV rankings: candidates ordered by reverse elimination, every
     plurality tie branched."""
     core = profile._core
-    return _orders(profile, lambda mask: _fewest(core.ballots, core.weights, mask))
+    return _orders(
+        profile.candidates, lambda mask: _fewest(core.ballots, core.weights, mask), _full(profile), {}
+    )
 
 
 def stv_i_star(profile: Profile, i: int) -> RankingSet:
@@ -155,8 +156,14 @@ def nr_star(profile: Profile) -> RankingSet:
     set, so one memo of them serves every round of every branch.
     """
     core = profile._core
-    worst = _stv_survivors([b[::-1] for b in core.ballots], core.weights)
-    return _orders(profile, lambda mask: _bits(worst(mask)))
+    back, weights = [b[::-1] for b in core.ballots], core.weights
+    worst: dict[int, int] = {}
+    return _orders(
+        profile.candidates,
+        lambda mask: _bits(_stv_winners(back, weights, mask, worst)),
+        _full(profile),
+        {},
+    )
 
 
 def _ranking(profile: Profile, order: list[int]) -> RankingSet:
@@ -198,37 +205,37 @@ def nnr_i_star(profile: Profile, i: int) -> RankingSet:
 # pairwise and locked-graph rules
 
 
+def _linear_extensions(above: list[int], mask: int, head: list[int], out: list, cap: int) -> None:
+    """Append to ``out`` every order of the codes in ``mask`` after ``head``
+    that puts no code c above a code of ``above[c]``.
+
+    Raises:
+        EnumerationCapExceeded: when a (cap+1)-th order is found.
+    """
+    if not mask:
+        if len(out) >= cap:
+            raise EnumerationCapExceeded(f"more than {cap} rankings; raise the cap to enumerate")
+        out.append(tuple(head))
+        return
+    for c in _bits(mask):
+        if not above[c] & mask:
+            head.append(c)
+            _linear_extensions(above, mask & ~(1 << c), head, out, cap)
+            head.pop()
+
+
 def bp_star(profile: Profile, cap: int = 10_000) -> RankingSet:
     """All linearisations of the strict widest-path relation.
 
     Raises:
         EnumerationCapExceeded: when more than ``cap`` rankings exist.
     """
-    s = strength_matrix(profile)
+    s = _widest_paths(profile._core.rows)
+    above = [sum(1 << d for d, sd in enumerate(s) if sd[c] > s[c][d]) for c in range(len(s))]
+    orders: list[tuple[int, ...]] = []
+    _linear_extensions(above, _full(profile), [], orders, cap)
     cands = profile.candidates
-    above = {
-        c: {d for d in cands if d != c and s.strength(d, c) > s.strength(c, d)}
-        for c in cands
-    }
-    results: list[Ranking] = []
-
-    def extend(remaining: list[str], acc: list[str]) -> None:
-        if not remaining:
-            if len(results) >= cap:
-                raise EnumerationCapExceeded(
-                    f"more than {cap} rankings; raise the cap to enumerate"
-                )
-            results.append(tuple(acc))
-            return
-        for c in list(remaining):
-            if not (above[c] & set(remaining)):
-                rest = [d for d in remaining if d != c]
-                acc.append(c)
-                extend(rest, acc)
-                acc.pop()
-
-    extend(sorted(cands), [])
-    return frozenset(results)
+    return frozenset(tuple(cands[c] for c in order) for order in orders)
 
 
 def rp_star(profile: Profile) -> RankingSet:
@@ -243,16 +250,7 @@ def rp_i_star(profile: Profile, i: int) -> RankingSet:
 
 def rp_n_star(profile: Profile) -> RankingSet:
     """Union of ``rp_i_star`` over every voter."""
-    out: set[Ranking] = set()
-    seen: set[Ranking] = set()
-    i = 0
-    for ranking, mult in profile.groups:
-        i += mult
-        if ranking in seen:
-            continue
-        seen.add(ranking)
-        out |= rp_i_star(profile, i)
-    return frozenset(out)
+    return frozenset(rp_i_ranking(profile, i) for i in _distinct_voters(profile))
 
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,15 @@ def cc_transform(
         if node.is_leaf:
             winners |= node.members
             continue
-        packed = _child_summary(profile, node.children)
         if node.kind == "P":
-            seen = packed
+            seen = _child_summary(profile, node.children)
             chosen = f(seen)
             for child in node.children:
                 if child.name in chosen:
                     queue.append(child)
         else:
             reading = _reading_order(node)
-            seen = restrict(packed, {reading[0].name, reading[1].name})
+            seen = _child_summary(profile, reading[:2])
             chosen = f(seen)
             if chosen == frozenset({reading[0].name}):
                 queue.append(reading[0])

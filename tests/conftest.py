@@ -1,5 +1,6 @@
-"""Shared test fixtures: the bundled example profiles and a deterministic
-random corpus used by the oracle-equivalence and law suites."""
+"""Shared test fixtures: the bundled example profiles, a deterministic
+random corpus used by the oracle-equivalence and law suites, and seeded
+two- and four-ballot profiles where ties are the rule."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from clonelab.profiles import Profile, load_fixture
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 520
+
+SMALL_SEED = 20261018
+SMALL_SIZES = [(m, n) for m in range(2, 8) for n in (2, 4)]
+SMALL_PER_SIZE = 10
 
 _NAMES = "abcdefgh"
 
@@ -96,9 +101,27 @@ def build_corpus(seed: int = CORPUS_SEED, size: int = CORPUS_SIZE) -> list[Profi
     return out
 
 
+def build_small_profiles() -> list[Profile]:
+    """Impartial profiles of two or four ballots, m <= 7: the sizes where
+    ties, and so the tie-breaking searches, are the rule."""
+    rng = random.Random(SMALL_SEED)
+    out = []
+    for m, n in SMALL_SIZES:
+        cands = tuple("abcdefg"[:m])
+        for _ in range(SMALL_PER_SIZE):
+            ballots = [tuple(rng.sample(cands, m)) for _ in range(n)]
+            out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
+    return out
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[Profile]:
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def small_profiles() -> list[Profile]:
+    return build_small_profiles()
 
 
 @pytest.fixture(scope="session")

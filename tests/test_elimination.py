@@ -10,6 +10,7 @@ from clonelab.profiles import Profile
 from clonelab.scf import alt_smith, first_place_counts, pv, stv, stv_i, stv_i_ranking
 from clonelab.spf import nnr_i_star, nr_i_star, nr_star, stv_star
 
+from conftest import SMALL_SEED
 from oracles import (
     brute_alt_smith,
     brute_first_places,
@@ -20,24 +21,6 @@ from oracles import (
     brute_stv_i_ranking,
     brute_stv_star,
 )
-
-SMALL_SEED = 20261018
-SMALL_SIZES = [(m, n) for m in range(2, 8) for n in (2, 4)]
-SMALL_PER_SIZE = 10
-
-
-def _small_profiles() -> list[Profile]:
-    """Impartial profiles of two or four ballots, m <= 7: the sizes where
-    ties, and so the tie-breaking searches, are the rule."""
-    rng = random.Random(SMALL_SEED)
-    out = []
-    for m, n in SMALL_SIZES:
-        cands = tuple("abcdefg"[:m])
-        for _ in range(SMALL_PER_SIZE):
-            ballots = [tuple(rng.sample(cands, m)) for _ in range(n)]
-            out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
-    return out
-
 
 def _check_against_oracles(p: Profile) -> None:
     assert stv(p) == brute_stv(p)
@@ -55,8 +38,8 @@ def test_elimination_rules_match_oracles_on_corpus(corpus):
         _check_against_oracles(p)
 
 
-def test_elimination_rules_match_oracles_on_small_ties():
-    for p in _small_profiles():
+def test_elimination_rules_match_oracles_on_small_ties(small_profiles):
+    for p in small_profiles:
         _check_against_oracles(p)
 
 

@@ -197,8 +197,10 @@ def test_rp_i_is_the_unique_strict_stack(corpus):
         assert stacks == {rp_i_ranking(p, 1)}, p
 
 
-def test_rp_put_equals_weak_stacks(corpus):
-    for p in corpus:
+def test_rp_put_equals_weak_stacks(corpus, small_profiles):
+    """The corpus stops at 5 candidates; the two- and four-ballot profiles
+    carry the check to 6."""
+    for p in corpus + [q for q in small_profiles if len(q.candidates) <= 6]:
         weaks = {r for r in permutations(p.candidates) if is_weak_stack(p, r)}
         assert rp_put_rankings(p) == weaks, p
 

@@ -1,10 +1,12 @@
 """Ranking rules (social preference functions) and ballot splicing."""
 
+import gc
+
 import pytest
 
 from clonelab.clones import EnumerationCapExceeded
-from clonelab.profiles import load_fixture, restrict
-from clonelab.scf import beatpath, rp_put_rankings, stv
+from clonelab.profiles import load_fixture, parse_profile, restrict, serialize_profile
+from clonelab.scf import alt_smith, beatpath, rp_put, rp_put_rankings, stv
 from clonelab.spf import (
     SPF_IDS,
     bp_star,
@@ -143,3 +145,17 @@ def test_spf_to_scf(fixtures):
     assert f.__name__ == "tops_of_stv_star"
     g = spf_to_scf("nr")
     assert g(fixtures["P9"]) == {"a1", "a2", "b", "c"}
+
+
+def test_searches_leave_no_reference_cycles():
+    """Each search keeps its memo in a dict its caller makes, so its memo and
+    states go on return, not when the cyclic collector next runs."""
+    text = serialize_profile(load_fixture("P9"))
+    gc.collect()
+    gc.disable()
+    try:
+        for rule in (stv, alt_smith, rp_put, stv_star, nr_star, rp_star, bp_star):
+            rule(parse_profile(text))
+            assert gc.collect() == 0, rule.__name__
+    finally:
+        gc.enable()
