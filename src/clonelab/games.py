@@ -21,10 +21,22 @@ Two game forms share these utilities:
 
 Rules must be decisive (a single winner on every non-empty restriction);
 this is enforced when the game is built.  The winners found then are kept on
-the game, with the clone distances of the profile, so a game costs 2^m − 1
-rule calls to build, the one-shot form makes no further call, and the staged
-form adds one call per distinct node decision: each play and each decision
-is recorded on the game the first time it is made.
+the game, with the profile's PQ-tree and clone distances, so a game costs
+2^m − 1 rule calls to build, the one-shot form makes no further call, and the
+staged form adds one call per distinct node decision: each play and each
+decision is recorded on the game the first time it is made.
+
+Cost model.  Building a game builds the profile's core and margin rows once.
+Each field is then derived from the profile with no name checks, and its
+core, when the rule reads it, is a view of that core (see
+:mod:`clonelab.profiles`): the k distinct rankings cut down to the field,
+and the field's margins read off the profile's.  A node decision reads the
+block summary the same way, off the profile's core.  A field's PQ-tree,
+which a clone-aware rule builds, is still computed from the field's own
+rankings: removing candidates can create clone sets.  The clone distances
+come from one walk of the profile's tree, O(m²).  Verdicts read the kept
+winners and plays directly; only :func:`utility` and :func:`lambda_play`
+validate their arguments.
 """
 
 from __future__ import annotations
@@ -33,9 +45,8 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Mapping
 
-from .clones import clone_metric
-from .profiles import Profile, restrict
-from .pqtree import PQNode, _child_summary, _reading_order, build_pqtree
+from .profiles import Profile, _kept
+from .pqtree import PQNode, _child_summary, _clone_distances, _reading_order, build_pqtree
 from .transform import resolve_rule, rule_label
 
 __all__ = [
@@ -94,6 +105,7 @@ class GameSpec:
     form: str = "gamma"
     _winners: dict[frozenset[str], str] = _record()  # field -> winner
     _distance: dict[tuple[str, str], int] = _record()  # (a, b) -> clone distance
+    _tree: PQNode = field(init=False, repr=False, compare=False)  # the profile's PQ-tree
     _plays: dict[frozenset[str], PlayResult] = _record()  # runners -> staged play
     # (node members, names of the blocks shown to the rule) -> chosen block
     _decisions: dict[tuple[frozenset[str], frozenset[str]], str] = _record()
@@ -102,15 +114,17 @@ class GameSpec:
         if self.form not in ("gamma", "lambda"):
             raise ValueError(f"unknown game form {self.form!r}")
         f = resolve_rule(self.rule)
-        cands = self.profile.candidates
-        for size in range(1, len(cands) + 1):
-            for subset in combinations(cands, size):
-                self._winners[frozenset(subset)] = _single_winner(
-                    f, restrict(self.profile, subset), f"candidates {list(subset)}"
+        profile = self.profile
+        profile._core.rows  # every field's margins are read off these
+        m = profile.m
+        for size in range(1, m + 1):
+            for codes in combinations(range(m), size):  # the fields, by candidate code
+                runners = _kept(profile, codes)
+                self._winners[frozenset(runners.candidates)] = _single_winner(
+                    f, runners, f"candidates {list(runners.candidates)}"
                 )
-        for a in cands:
-            for b in cands:
-                self._distance[a, b] = clone_metric(self.profile, a, b)
+        object.__setattr__(self, "_tree", build_pqtree(profile))
+        self._distance.update(_clone_distances(self._tree))
 
     @property
     def rule_name(self) -> str:
@@ -122,19 +136,34 @@ def utility(game: GameSpec, a: str, field: Iterable[str]) -> int:
     standing = frozenset(field)
     if a not in game.profile.candidates:
         raise ValueError(f"unknown candidate {a!r}")
-    if not standing:
-        return 0
-    winner = game._winners.get(standing)
-    if winner is None:
-        unknown = standing - set(game.profile.candidates)
+    unknown = standing - set(game.profile.candidates)
+    if unknown:
         raise ValueError(f"unknown candidate(s) {sorted(unknown)} in the field")
+    return _payoff(game, a, game._winners.get(standing))
+
+
+def _payoff(game: GameSpec, a: str, winner: str | None) -> int:
+    """Candidate a's utility when ``winner`` is elected (None: nobody)."""
+    if winner is None:
+        return 0
     return game.profile.m - game._distance[a, winner]
 
 
 def _opponent_fields(game: GameSpec, a: str):
     """All sets of other candidates, smallest first, then lexicographic."""
+    if a not in game.profile.candidates:
+        raise ValueError(f"unknown candidate {a!r}")
     others = sorted(set(game.profile.candidates) - {a})
     return chain.from_iterable(combinations(others, k) for k in range(len(others) + 1))
+
+
+def _run_and_drop(game: GameSpec, a: str, others: tuple[str, ...]) -> tuple[int, int]:
+    """a's utilities when exactly ``others`` stand besides a: running, dropping."""
+    standing = frozenset(others)
+    return (
+        _payoff(game, a, game._winners[standing | {a}]),
+        _payoff(game, a, game._winners.get(standing)),  # no winner when nobody stands
+    )
 
 
 def gamma_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | None]:
@@ -144,8 +173,7 @@ def gamma_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | None]:
     as a witness dict otherwise.
     """
     for field in _opponent_fields(game, a):
-        u_run = utility(game, a, set(field) | {a})
-        u_drop = utility(game, a, field)
+        u_run, u_drop = _run_and_drop(game, a, field)
         if u_run < u_drop:
             return False, {
                 "candidate": a,
@@ -166,8 +194,7 @@ def gamma_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | N
     worst_run: tuple[int, tuple] | None = None
     best_drop: tuple[int, tuple] | None = None
     for field in _opponent_fields(game, a):
-        u_run = utility(game, a, set(field) | {a})
-        u_drop = utility(game, a, field)
+        u_run, u_drop = _run_and_drop(game, a, field)
         if worst_run is None or u_run < worst_run[0]:
             worst_run = (u_run, field)
         if best_drop is None or u_drop > best_drop[0]:
@@ -204,10 +231,15 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
     bad = {c: v for c, v in actions.items() if v not in (RUN, DROP)}
     if bad:
         raise ValueError(f"actions must be {RUN!r} or {DROP!r}, got {bad}")
-    runners = frozenset(c for c, v in actions.items() if v == RUN)
+    return _play(game, frozenset(c for c, v in actions.items() if v == RUN))
+
+
+def _play(game: GameSpec, runners: frozenset[str]) -> PlayResult:
+    """The staged play in which exactly ``runners`` run, walked once per game."""
     played = game._plays.get(runners)  # a play depends only on who runs
     if played is not None:
         return played
+    profile = game.profile
     f = resolve_rule(game.rule)
     asked: set[str] = set()
 
@@ -275,7 +307,7 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
                 continue
             return None  # walked the whole string without a runner
 
-    played = PlayResult(winner=process(build_pqtree(profile)), asked=frozenset(asked))
+    played = PlayResult(winner=process(game._tree), asked=frozenset(asked))
     game._plays[runners] = played
     return played
 
@@ -289,27 +321,20 @@ def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | 
     """
     if a not in game.profile.candidates:
         raise ValueError(f"unknown candidate {a!r}")
-    m = game.profile.m
     others = sorted(set(game.profile.candidates) - {a})
     worst_run: tuple[int, dict] | None = None
     best_drop: tuple[int, dict] | None = None
-
-    def pay(result: PlayResult) -> int:
-        if result.winner is None:
-            return 0
-        return m - game._distance[a, result.winner]
-
     for choice in product((RUN, DROP), repeat=len(others)):
-        opponents = dict(zip(others, choice))
-        ran = lambda_play(game, {**opponents, a: RUN})
+        running = frozenset(c for c, act in zip(others, choice) if act == RUN)
+        ran = _play(game, running | {a})
         if a not in ran.asked:
             continue
-        dropped = lambda_play(game, {**opponents, a: DROP})
-        u_run, u_drop = pay(ran), pay(dropped)
+        dropped = _play(game, running)
+        u_run, u_drop = _payoff(game, a, ran.winner), _payoff(game, a, dropped.winner)
         if worst_run is None or u_run < worst_run[0]:
-            worst_run = (u_run, {"opponents": opponents, "winner": ran.winner})
+            worst_run = (u_run, {"opponents": dict(zip(others, choice)), "winner": ran.winner})
         if best_drop is None or u_drop > best_drop[0]:
-            best_drop = (u_drop, {"opponents": opponents, "winner": dropped.winner})
+            best_drop = (u_drop, {"opponents": dict(zip(others, choice)), "winner": dropped.winner})
     if worst_run is None:
         return True, None  # never asked under any opposing behaviour
     assert best_drop is not None

@@ -34,11 +34,11 @@ ascending number of last-place finishes for the block, ties by block name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, _derived, block_name
+from .profiles import Profile, _cut, _derived, block_name
 
 __all__ = [
     "PQNode",
@@ -67,7 +67,7 @@ class PQNode:
     def is_leaf(self) -> bool:
         return self.kind == "leaf"
 
-    @property
+    @cached_property
     def name(self) -> str:
         return block_name(self.members)
 
@@ -78,23 +78,18 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     Every ballot ranks each child block consecutively, so a block sits where
     any one of its members does: each distinct ranking of the profile's core
     is cut down to one member per block, and every group keeps its own
-    multiplicity.
+    multiplicity.  The blocks are coded in the order voter 1 ranks them, so
+    the summary's core is a view of the profile's, its margins those of the
+    block representatives.
     """
     core = profile._core
-    names = []
-    seat = {}  # code of one member of each block -> the block's index
-    for t, child in enumerate(children):
-        names.append(child.name)
-        seat[core.index[next(iter(child.members))]] = t
-    if isinstance(core.ballots[0], bytes):
-        table = bytes.maketrans(bytes(seat), bytes(seat.values()))
-        others = bytes(c for c in range(len(core.index)) if c not in seat)
-        orders = [ballot.translate(table, others) for ballot in core.ballots]
-    else:
-        orders = [[seat[c] for c in ballot if c in seat] for ballot in core.ballots]
-    seqs = [tuple(map(names.__getitem__, order)) for order in orders]
-    groups = tuple((seqs[slot], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
-    return _derived(seqs[0], groups)
+    name_of = {core.index[next(iter(child.members))]: child.name for child in children}
+    keep = [c for c in core.ballots[0] if c in name_of]  # voter 1's order of the blocks
+    names = tuple(map(name_of.__getitem__, keep))
+    cut = _cut(core, keep)
+    named = {order: tuple(map(names.__getitem__, order)) for order in set(cut)}  # few blocks, few orders
+    groups = tuple((named[cut[slot]], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
+    return _derived(names, groups, (profile, keep, cut))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -139,6 +134,37 @@ def build_pqtree(profile: Profile) -> PQNode:
         return PQNode(members=members, kind="P", children=tuple(children))
 
     return build(0, len(first))
+
+
+def _clone_distances(node: PQNode) -> dict[tuple[str, str], int]:
+    """Every pair's clone distance, read off the tree in one walk.
+
+    Two candidates part at their lowest common ancestor.  At a P node the
+    smallest clone set holding both is the node itself; at a Q node it is the
+    run of children from one's child to the other's, since every run of Q
+    children is a clone set and none smaller holds both.
+    """
+    out: dict[tuple[str, str], int] = {}
+
+    def walk(b: PQNode) -> None:
+        if b.is_leaf:
+            (c,) = b.members
+            out[c, c] = 0
+            return
+        kids = b.children
+        for i, left in enumerate(kids):
+            size = len(left.members)
+            for right in kids[i + 1 :]:
+                size += len(right.members)
+                d = (size if b.kind == "Q" else len(b.members)) - 1
+                for x in left.members:
+                    for y in right.members:
+                        out[x, y] = out[y, x] = d
+        for child in kids:
+            walk(child)
+
+    walk(node)
+    return out
 
 
 def decomp(node: PQNode) -> CloneDecomposition:

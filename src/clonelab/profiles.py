@@ -19,6 +19,18 @@ addition per ballot position counts a candidate's wins over everyone below
 it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
 
+A restriction (:func:`restrict`, :func:`remove_candidates`) and a PQ-tree
+block summary are views of their base's core.  They build their public
+groups as any profile does, but their core is built only when first read,
+from the base core rather than from the groups: each of the base's k
+distinct code rankings is cut down to the kept codes (one representative
+per block for a summary) and renumbered, equal results merge with their
+weights summed, and the group slots are remapped.  When the base has its
+margin rows by then, the view's rows are read on first use as the submatrix
+of the base rows at the kept codes; otherwise they are counted afresh.
+Nothing of the core is built at derivation, so a consumer that reads only
+the groups pays nothing for it.
+
 The text format accepted by :func:`parse_profile`::
 
     # comment
@@ -97,7 +109,11 @@ class Profile:
 
     @cached_property
     def _core(self) -> _Core:
-        return _Core(self)
+        view = self.__dict__.pop("_view_of", None)
+        if view is None:
+            return _Core(self)
+        base, keep, cut = view
+        return _Core.view(self.candidates, base._core, keep, cut)
 
     @property
     def m(self) -> int:
@@ -130,13 +146,53 @@ class Profile:
         raise IndexError(f"voter index {i} out of range 1..{self.n}")
 
 
-def _derived(candidates: tuple[str, ...], groups: tuple[tuple[Ranking, int], ...]) -> Profile:
+def _derived(
+    candidates: tuple[str, ...],
+    groups: tuple[tuple[Ranking, int], ...],
+    view: tuple[Profile, Sequence[int], list | None] | None = None,
+) -> Profile:
     """A profile built from a valid one by a transformation that keeps it
-    valid: the checks of ``__post_init__`` are skipped."""
+    valid: the checks of ``__post_init__`` are skipped.
+
+    ``view`` is ``(base, keep, cut)`` when every ballot is a ballot of
+    ``base`` cut down to the candidates with base codes ``keep``, which
+    become this profile's candidates in order (``cut``: ``_cut(base._core,
+    keep)`` or None).  The core is then read off the base's on first use
+    (:meth:`_Core.view`), and the profile lets go of the base."""
     profile = object.__new__(Profile)
     object.__setattr__(profile, "candidates", candidates)
     object.__setattr__(profile, "groups", groups)
+    if view is not None:
+        profile.__dict__["_view_of"] = view
     return profile
+
+
+def _tally(pairs: Iterable[tuple]) -> tuple[tuple, tuple[int, ...], list[int]]:
+    """The distinct keys of ``(key, weight)`` pairs in order of first
+    appearance, the summed weight of each, and the key index of each pair."""
+    slot_of: dict = {}
+    weights: list[int] = []
+    slots: list[int] = []
+    for key, weight in pairs:
+        slot = slot_of.setdefault(key, len(weights))
+        if slot == len(weights):
+            weights.append(weight)
+        else:
+            weights[slot] += weight
+        slots.append(slot)
+    return tuple(slot_of), tuple(weights), slots
+
+
+def _cut(core: _Core, keep: Sequence[int]) -> list:
+    """Each distinct ballot of ``core`` cut down to the codes in ``keep``,
+    code ``keep[k]`` renumbered k (bytes for at most 256 codes)."""
+    if isinstance(core.ballots[0], bytes):
+        table = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
+        drop = bytes(set(range(len(core.index))).difference(keep))
+        return [ballot.translate(table, drop) for ballot in core.ballots]
+    code = bytes if len(keep) <= 256 else tuple
+    new = {c: k for k, c in enumerate(keep)}
+    return [code(new[c] for c in ballot if c in new) for ballot in core.ballots]
 
 
 class _Core:
@@ -152,32 +208,60 @@ class _Core:
     The margin rows are computed on first use and kept.
     """
 
-    __slots__ = ("index", "ballots", "weights", "slots", "_rows")
+    __slots__ = ("index", "ballots", "weights", "slots", "_rows", "_sub")
 
     def __init__(self, profile: Profile) -> None:
+        rankings, self.weights, slots = _tally(profile.groups)
         index = {c: k for k, c in enumerate(profile.candidates)}
-        slot_of: dict[Ranking, int] = {}
-        weights: list[int] = []
-        slots: list[int] = []
-        for ranking, mult in profile.groups:
-            slot = slot_of.setdefault(ranking, len(weights))
-            if slot == len(weights):
-                weights.append(mult)
-            else:
-                weights[slot] += mult
-            slots.append(slot)
         code = bytes if len(index) <= 256 else tuple
         self.index = index
-        self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in slot_of)
-        self.weights = tuple(weights)
+        self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in rankings)
         self.slots = tuple(slots)
         self._rows: tuple[tuple[int, ...], ...] | None = None
+        self._sub: tuple[tuple[tuple[int, ...], ...], Sequence[int]] | None = None
+
+    @classmethod
+    def view(
+        cls, candidates: tuple[str, ...], base: _Core, keep: Sequence[int], cut: list | None = None
+    ) -> _Core:
+        """The core of a profile whose groups are ``base``'s groups cut down
+        to the codes ``keep`` (``candidates[k]`` holding base code ``keep[k]``);
+        ``cut`` is ``_cut(base, keep)`` when the caller has it already.
+
+        Base ballots that become equal merge, in the order the base first
+        holds them, which is the order the cut groups first hold them.  When
+        the base has its rows, this core's rows are read on first use as the
+        base rows at ``keep``: the voters and their pairwise preferences are
+        the base's, and a block member ranks against the other blocks exactly
+        as its block does.  Otherwise they are counted afresh, which costs
+        less than counting the base's.  The core keeps no reference to
+        ``base`` itself.
+        """
+        core = cls.__new__(cls)
+        if cut is None:
+            cut = _cut(base, keep)
+        if len(set(cut)) == len(cut):  # nothing merges
+            core.ballots, core.weights, core.slots = tuple(cut), base.weights, base.slots
+        else:
+            core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
+            core.slots = tuple(map(moved.__getitem__, base.slots))
+        core.index = {c: k for k, c in enumerate(candidates)}
+        core._rows = None
+        core._sub = None if base._rows is None else (base._rows, keep)
+        return core
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Margin rows: ``rows[a][b]`` is margin(a, b) by candidate code."""
         if self._rows is None:
-            self._rows = self._margins()
+            if self._sub is None:
+                self._rows = self._margins()
+            else:
+                base_rows, keep = self._sub
+                self._rows = tuple(
+                    tuple(map(row.__getitem__, keep)) for row in map(base_rows.__getitem__, keep)
+                )
+                self._sub = None
         return self._rows
 
     def _margins(self) -> tuple[tuple[int, ...], ...]:
@@ -337,13 +421,20 @@ def restrict(profile: Profile, keep: Iterable[str]) -> Profile:
 
 def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
     """The profile minus ``gone``, a set of its own candidates."""
-    remaining = tuple(c for c in profile.candidates if c not in gone)
-    if not remaining:
+    keep = [k for k, c in enumerate(profile.candidates) if c not in gone]
+    if not keep:
         raise ValueError("cannot remove every candidate")
-    groups = tuple(
-        (tuple(c for c in ranking if c not in gone), mult) for ranking, mult in profile.groups
-    )
-    return _derived(remaining, groups)
+    return _kept(profile, keep)
+
+
+def _kept(profile: Profile, keep: Sequence[int]) -> Profile:
+    """The profile restricted to the candidates with codes ``keep``, in
+    ascending order; its core, when first used, is a view of the profile's
+    (:meth:`_Core.view`)."""
+    remaining = tuple(map(profile.candidates.__getitem__, keep))
+    kept = frozenset(remaining).__contains__
+    groups = tuple((tuple(filter(kept, ranking)), mult) for ranking, mult in profile.groups)
+    return _derived(remaining, groups, (profile, keep, None))
 
 
 def block_name(members: Iterable[str]) -> str:
