@@ -17,6 +17,9 @@ SMALL_SEED = 20261018
 SMALL_SIZES = [(m, n) for m in range(2, 8) for n in (2, 4)]
 SMALL_PER_SIZE = 10
 
+GAME_SEED = 7
+GAME_M, GAME_N = 7, 15  # the candidacy benchmark's largest profiles
+
 _NAMES = "abcdefgh"
 
 
@@ -111,6 +114,28 @@ def build_small_profiles() -> list[Profile]:
         for _ in range(SMALL_PER_SIZE):
             ballots = [tuple(rng.sample(cands, m)) for _ in range(n)]
             out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
+    return out
+
+
+def build_game_profiles() -> list[Profile]:
+    """Two impartial and two planted profiles at candidacy-game size.  A
+    planted ballot keeps {x1, x2} together in either order and y1>y2>y3
+    together forward or reversed, the blocks and a, b shuffled around them."""
+    rng = random.Random(GAME_SEED)
+    cands = ("a", "b", "x1", "x2", "y1", "y2", "y3")
+    assert len(cands) == GAME_M
+    out = []
+    for _ in range(2):
+        ballots = [tuple(rng.sample(cands, GAME_M)) for _ in range(GAME_N)]
+        out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
+    for _ in range(2):
+        ballots = []
+        for _ in range(GAME_N):
+            x = rng.sample(["x1", "x2"], 2)
+            y = ["y1", "y2", "y3"] if rng.random() < 0.5 else ["y3", "y2", "y1"]
+            top = rng.sample(["a", "b", "x", "y"], 4)
+            ballots.append(tuple(c for t in top for c in {"x": x, "y": y}.get(t, [t])))
+        out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
     return out
 
 

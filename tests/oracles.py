@@ -446,7 +446,7 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
         return c in runners
 
     def single(packed) -> str:
-        (w,) = f(packed)
+        (w,) = f(Profile(packed.candidates, packed.groups))  # a core of its own
         return w
 
     def summary(node) -> Profile:
@@ -506,7 +506,9 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
 def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     """Every candidate's candidacy verdicts, with witnesses, recomputed with
     no memo: each one-shot field is elected afresh with ``restrict``, the rule
-    and ``clone_metric``, and each staged play walks the PQ-tree afresh.
+    and ``clone_metric``, and each staged play walks the PQ-tree afresh.  The
+    rule always sees a profile rebuilt from public groups, whose core is its
+    own, never a view of another profile's.
 
     Returns ``{candidate: ((dominant, witness), (obvious, witness))}`` for
     the one-shot form and ``{candidate: (obvious, witness)}`` for the staged
@@ -522,7 +524,8 @@ def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     def elect(field):
         if not field:
             return None
-        (w,) = f(restrict(profile, field))
+        runners = restrict(profile, field)
+        (w,) = f(Profile(runners.candidates, runners.groups))  # a core of its own
         return w
 
     out = {}

@@ -20,6 +20,7 @@ from clonelab.games import (
 from clonelab.profiles import restrict
 from clonelab.transform import cc_transform, resolve_rule
 
+from conftest import build_game_profiles
 from oracles import brute_game_verdicts
 
 
@@ -165,17 +166,19 @@ def test_run_is_dominant_for_clone_independent_rules(corpus):
 
 def test_games_match_unmemoized_oracle(corpus, fixtures):
     """Both forms give the verdicts and witnesses of a replay that elects
-    every field and walks every play afresh."""
-    profiles = corpus[:60] + [fixtures[f"P{k}"] for k in range(1, 10)]
-    for p in profiles:
-        for rid in ("rp_i:1", "stv_i:1", "rp_i:1^cc"):
-            gamma = GameSpec(profile=p, rule=rid, form="gamma")
-            staged = GameSpec(profile=p, rule=rid, form="lambda")
-            got_gamma = {a: (gamma_dominant_run(gamma, a), gamma_obviously_dominant_run(gamma, a))
-                         for a in p.candidates}
-            got_staged = {a: lambda_obviously_dominant_run(staged, a) for a in p.candidates}
-            assert got_gamma == brute_game_verdicts(p, rid, "gamma"), (rid, p)
-            assert got_staged == brute_game_verdicts(p, rid, "lambda"), (rid, p)
+    every field and walks every play afresh, on small profiles and at the
+    candidacy benchmark's largest size (m=7, n=15)."""
+    small = corpus[:60] + [fixtures[f"P{k}"] for k in range(1, 10)]
+    cases = [(p, rid) for p in small for rid in ("rp_i:1", "stv_i:1", "rp_i:1^cc")]
+    cases += [(p, rid) for p in build_game_profiles() for rid in ("rp_i:1^cc", "stv_i:1^cc")]
+    for p, rid in cases:
+        gamma = GameSpec(profile=p, rule=rid, form="gamma")
+        staged = GameSpec(profile=p, rule=rid, form="lambda")
+        got_gamma = {a: (gamma_dominant_run(gamma, a), gamma_obviously_dominant_run(gamma, a))
+                     for a in p.candidates}
+        got_staged = {a: lambda_obviously_dominant_run(staged, a) for a in p.candidates}
+        assert got_gamma == brute_game_verdicts(p, rid, "gamma"), (rid, p)
+        assert got_staged == brute_game_verdicts(p, rid, "lambda"), (rid, p)
 
 
 def test_games_call_the_rule_once_per_field_and_decision(fixtures):

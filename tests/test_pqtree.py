@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from clonelab.clones import clone_structure
+from clonelab.clones import clone_metric, clone_structure
 from clonelab.profiles import Profile, parse_profile
 from clonelab.pqtree import (
+    _clone_distances,
     build_pqtree,
     clone_sets_from_tree,
     decomp,
@@ -199,3 +200,12 @@ def test_tree_matches_definition_oracle(corpus, fixtures):
     inclusion, Q exactly when every adjacent union is a clone set."""
     for p in [*corpus, *fixtures.values(), *_seeded_profiles()]:
         assert build_pqtree(p) == brute_pqtree(p), p
+
+
+def test_tree_walk_distances_match_clone_metric(corpus, fixtures):
+    """One walk of the tree gives every pair's clone distance, as the
+    definition-level scan over the clone structure does."""
+    for p in [*corpus, *fixtures.values(), *_seeded_profiles()]:
+        assert _clone_distances(build_pqtree(p)) == {
+            (a, b): clone_metric(p, a, b) for a in p.candidates for b in p.candidates
+        }, p

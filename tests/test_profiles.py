@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from oracles import brute_margins
 from clonelab.profiles import (
     Profile,
     ProfileParseError,
+    _Core,
     add_voter,
     block_name,
     fixture_names,
@@ -21,8 +23,8 @@ from clonelab.profiles import (
     serialize_profile,
     summarize,
 )
-from clonelab.pqtree import build_pqtree
-from clonelab.scf import rp_i_ranking, stv_i_ranking
+from clonelab.pqtree import _child_summary, build_pqtree, internal_nodes
+from clonelab.scf import rp_i, rp_i_ranking, stv_i, stv_i_ranking
 from clonelab.transform import cc_transform
 
 
@@ -303,3 +305,87 @@ def test_voter_indices_survive_repeated_rankings_in_separate_groups():
             groups=((ballot, 1),) + tuple((r, 1) for k, r in enumerate(expanded) if k != i - 1),
         )
         assert stv_i_ranking(p, i) == stv_i_ranking(moved, 1)
+
+
+def _core_fields(core):
+    return core.index, core.ballots, core.weights, core.slots, core.rows
+
+
+def _assert_views_match_rebuilt_cores(p):
+    """Every restriction, single removal and node summary of p, derived
+    before and after p's margin rows exist, has the core a profile rebuilt
+    from its public groups would have."""
+    for rows_first in (False, True):
+        base = Profile(p.candidates, p.groups)  # a fresh core, rows not counted yet
+        if rows_first:
+            base._core.rows
+        derived = [restrict(base, keep) for k in range(1, base.m + 1)
+                   for keep in combinations(base.candidates, k)]
+        derived += [remove_candidates(base, {c}) for c in base.candidates[: base.m - 1]]
+        for node in internal_nodes(build_pqtree(base)):
+            summary = _child_summary(base, node.children)
+            blocks = [child.members for child in node.children]
+            assert summary == summarize(restrict(p, node.members), blocks), (p, node)
+            derived.append(summary)
+        for q in derived:
+            want = _core_fields(_Core(Profile(q.candidates, q.groups)))
+            assert _core_fields(q._core) == want, (p, q)
+
+
+def test_derived_cores_match_rebuilt_cores(corpus, fixtures):
+    for p in [*corpus, *fixtures.values()]:
+        _assert_views_match_rebuilt_cores(p)
+
+
+def test_derived_cores_merge_rankings_and_keep_voter_indices():
+    """Distinct rankings that become equal merge in the view's core, while
+    every voter keeps their own ballot for the voter-indexed rules."""
+    groups = (
+        (("a", "b", "c", "d"), 2),
+        (("b", "a", "d", "c"), 1),
+        (("c", "d", "a", "b"), 1),
+        (("a", "c", "b", "d"), 1),
+        (("d", "c", "b", "a"), 2),
+    )
+    p = Profile(candidates=("a", "b", "c", "d"), groups=groups)
+    _assert_views_match_rebuilt_cores(p)
+    p._core.rows
+    for keep in ({"a", "c"}, {"a", "c", "d"}, {"b", "d"}):
+        q = restrict(p, keep)
+        rebuilt = Profile(q.candidates, q.groups)
+        assert len(q._core.ballots) < len(p._core.ballots)  # some rankings merged
+        assert _core_fields(q._core) == _core_fields(rebuilt._core)
+        for i in range(1, q.n + 1):
+            assert rp_i_ranking(q, i) == rp_i_ranking(rebuilt, i)
+            assert rp_i(q, i) == rp_i(rebuilt, i)
+            assert stv_i_ranking(q, i) == stv_i_ranking(rebuilt, i)
+            assert stv_i(q, i) == stv_i(rebuilt, i)
+        # a view of a view
+        r = remove_candidates(q, {q.candidates[0]})
+        assert _core_fields(r._core) == _core_fields(_Core(Profile(r.candidates, r.groups)))
+
+
+def test_derived_cores_past_one_byte_codes():
+    """A 257-candidate base codes rankings as tuples; views of at most 256
+    candidates code theirs as bytes, larger ones as tuples, as a rebuilt
+    profile would."""
+    cands = tuple(f"c{k}" for k in range(257))
+    rng = random.Random(9)
+    ranking, other = tuple(rng.sample(cands, 257)), tuple(rng.sample(cands, 257))
+    p = Profile(candidates=cands, groups=((ranking, 2), (ranking[::-1], 1), (other, 1), (ranking, 1)))
+    tree = build_pqtree(p)
+    for rows_first in (False, True):
+        base = Profile(p.candidates, p.groups)
+        if rows_first:
+            base._core.rows
+        derived = [
+            remove_candidates(base, {cands[5]}),
+            restrict(base, cands),
+            restrict(base, ranking[::37]),
+            remove_candidates(base, ranking[:3]),
+            _child_summary(base, tree.children),
+        ]
+        for q in derived:
+            assert _core_fields(q._core) == _core_fields(_Core(Profile(q.candidates, q.groups)))
+        assert isinstance(derived[0]._core.ballots[0], bytes)
+        assert isinstance(derived[1]._core.ballots[0], tuple)
