@@ -56,12 +56,14 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     return True
 
 
-def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]]]:
-    """Voter 1's ranking ``first`` and the table ``t`` with ``t[i][j]`` True
-    exactly when ``first[i:j]`` is a clone set (0 <= i < j <= m)."""
+def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]], list]:
+    """Voter 1's ranking ``first``, the table ``t`` with ``t[i][j]`` True
+    exactly when ``first[i:j]`` is a clone set (0 <= i < j <= m), and the
+    core's ``positions()`` the table was read from."""
     first = profile.groups[0][0]
     m = len(first)
-    others = profile._core.positions()[1:]  # voter 1's own ballot splits no interval
+    positions = profile._core.positions()
+    others = positions[1:]  # voter 1's own ballot splits no interval
     table = []
     for i in range(m):
         spread = [j - 1 - i for j in range(m + 1)]  # widest span of first[i:j] so far
@@ -81,13 +83,13 @@ def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]
             while top > i + 1 and spread[top] != top - 1 - i:
                 top -= 1  # spans only widen: an interval once split stays split
         table.append([j > i and spread[j] == j - 1 - i for j in range(m + 1)])
-    return first, table
+    return first, table, positions
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def clone_structure(profile: Profile) -> CloneStructure:
     """All clone sets of the profile."""
-    first, table = _clone_intervals(profile)
+    first, table, _ = _clone_intervals(profile)
     return frozenset(
         frozenset(first[i:j]) for i, row in enumerate(table) for j, ok in enumerate(row) if ok
     )
@@ -108,7 +110,7 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
     Raises:
         EnumerationCapExceeded: if more than ``cap`` partitions exist.
     """
-    first, table = _clone_intervals(profile)
+    first, table, _ = _clone_intervals(profile)
     m = len(first)
     tilings: list[tuple[CloneSet, ...]] = []
 

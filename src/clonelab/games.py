@@ -70,11 +70,11 @@ class IndecisiveRuleError(ValueError):
     """The rule tied somewhere a single winner was required."""
 
 
-def _single_winner(f: Callable, profile: Profile, where: str) -> str:
+def _single_winner(f: Callable, profile: Profile, where: Callable[[], str]) -> str:
     winners = f(profile)
     if len(winners) != 1:
         raise IndecisiveRuleError(
-            f"rule ties on {where}: {sorted(winners)}; candidacy games need a decisive rule"
+            f"rule ties on {where()}: {sorted(winners)}; candidacy games need a decisive rule"
         )
     (w,) = winners
     return w
@@ -121,7 +121,7 @@ class GameSpec:
             for codes in combinations(range(m), size):  # the fields, by candidate code
                 runners = _kept(profile, codes)
                 self._winners[frozenset(runners.candidates)] = _single_winner(
-                    f, runners, f"candidates {list(runners.candidates)}"
+                    f, runners, lambda: f"candidates {list(runners.candidates)}"
                 )
         object.__setattr__(self, "_tree", build_pqtree(profile))
         self._distance.update(_clone_distances(self._tree))
@@ -255,7 +255,7 @@ def _play(game: GameSpec, runners: frozenset[str]) -> PlayResult:
         block = game._decisions.get(key)
         if block is None:
             packed = _child_summary(profile, [ch for ch in node.children if ch.name in shown])
-            block = _single_winner(f, packed, f"blocks of {sorted(node.members)}")
+            block = _single_winner(f, packed, lambda: f"blocks of {sorted(node.members)}")
             game._decisions[key] = block
         return block
 

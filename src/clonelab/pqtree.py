@@ -95,10 +95,9 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_pqtree(profile: Profile) -> PQNode:
     """Build the tree of strong clone sets with P/Q labels and orientations."""
-    first, table = _clone_intervals(profile)
+    first, table, positions = _clone_intervals(profile)
     core = profile._core
     n = sum(core.weights)
-    positions = core.positions()
 
     def build(i: int, j: int) -> PQNode:
         members = frozenset(first[i:j])

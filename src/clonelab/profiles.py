@@ -218,6 +218,7 @@ class _Core:
         self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in rankings)
         self.slots = tuple(slots)
         self._rows: tuple[tuple[int, ...], ...] | None = None
+        # (rows of a base, the codes kept from it): this core's rows, unread
         self._sub: tuple[tuple[tuple[int, ...], ...], Sequence[int]] | None = None
 
     @classmethod
@@ -230,12 +231,12 @@ class _Core:
 
         Base ballots that become equal merge, in the order the base first
         holds them, which is the order the cut groups first hold them.  When
-        the base has its rows, this core's rows are read on first use as the
-        base rows at ``keep``: the voters and their pairwise preferences are
-        the base's, and a block member ranks against the other blocks exactly
-        as its block does.  Otherwise they are counted afresh, which costs
-        less than counting the base's.  The core keeps no reference to
-        ``base`` itself.
+        the base has its rows, or is itself a view that can read them off its
+        own base, this core's rows are read on first use as those rows at the
+        kept codes: the voters and their pairwise preferences are the base's,
+        and a block member ranks against the other blocks exactly as its block
+        does.  Otherwise they are counted afresh, which costs less than
+        counting the base's.  The core keeps no reference to ``base`` itself.
         """
         core = cls.__new__(cls)
         if cut is None:
@@ -247,7 +248,13 @@ class _Core:
             core.slots = tuple(map(moved.__getitem__, base.slots))
         core.index = {c: k for k, c in enumerate(candidates)}
         core._rows = None
-        core._sub = None if base._rows is None else (base._rows, keep)
+        if base._rows is not None:
+            core._sub = (base._rows, keep)
+        elif base._sub is not None:  # a view of a view reads the first base's rows
+            rows, codes = base._sub
+            core._sub = (rows, [codes[k] for k in keep])
+        else:
+            core._sub = None
         return core
 
     @property
