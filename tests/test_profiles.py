@@ -319,9 +319,12 @@ def _assert_views_match_rebuilt_cores(p):
         base = Profile(p.candidates, p.groups)  # a fresh core, rows not counted yet
         if rows_first:
             base._core.rows
-        derived = [restrict(base, keep) for k in range(1, base.m + 1)
-                   for keep in combinations(base.candidates, k)]
-        derived += [remove_candidates(base, {c}) for c in base.candidates[: base.m - 1]]
+        removals = [remove_candidates(base, {c}) for c in base.candidates[: base.m - 1]]
+        # views of views come first, so each is read before its middle's rows
+        derived = [remove_candidates(q, {q.candidates[-1]}) for q in removals if q.m > 1]
+        derived += removals
+        derived += [restrict(base, keep) for k in range(1, base.m + 1)
+                    for keep in combinations(base.candidates, k)]
         for node in internal_nodes(build_pqtree(base)):
             summary = _child_summary(base, node.children)
             blocks = [child.members for child in node.children]
