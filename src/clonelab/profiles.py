@@ -20,16 +20,18 @@ it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
 
 A restriction (:func:`restrict`, :func:`remove_candidates`) and a PQ-tree
-block summary are views of their base's core.  They build their public
-groups as any profile does, but their core is built only when first read,
+block summary are views of their base's core.  They carry public groups
+like any profile, but their core is built only when first read,
 from the base core rather than from the groups: each of the base's k
 distinct code rankings is cut down to the kept codes (one representative
 per block for a summary) and renumbered, equal results merge with their
 weights summed, and the group slots are remapped.  When the base has its
-margin rows by then, the view's rows are read on first use as the submatrix
-of the base rows at the kept codes; otherwise they are counted afresh.
-Nothing of the core is built at derivation, so a consumer that reads only
-the groups pays nothing for it.
+margin rows by then (or is itself a view that can read them off its own
+base), the view's rows are read on first use as the submatrix of those rows
+at the kept codes; otherwise they are counted afresh.  Nothing of the core
+is built at derivation, so a consumer that reads only the groups pays
+nothing for it; once built, a view's core holds at most the base's rows
+until it has read its own, never the base core.
 
 The text format accepted by :func:`parse_profile`::
 
@@ -205,7 +207,8 @@ class _Core:
         weights: the number of voters holding each distinct ranking.
         slots: for each public group, the index of its ranking in ``ballots``.
 
-    The margin rows are computed on first use and kept.
+    The margin rows are computed, or read off a base's, on first use and
+    kept.
     """
 
     __slots__ = ("index", "ballots", "weights", "slots", "_rows", "_sub")
