@@ -18,7 +18,7 @@ SMALL_SIZES = [(m, n) for m in range(2, 8) for n in (2, 4)]
 SMALL_PER_SIZE = 10
 
 GAME_SEED = 7
-GAME_M, GAME_N = 7, 15  # the candidacy benchmark's largest profiles
+GAME_VOTERS = 15  # with 7 candidates, the candidacy benchmark's largest profiles
 
 _NAMES = "abcdefgh"
 
@@ -123,14 +123,13 @@ def build_game_profiles() -> list[Profile]:
     together forward or reversed, the blocks and a, b shuffled around them."""
     rng = random.Random(GAME_SEED)
     cands = ("a", "b", "x1", "x2", "y1", "y2", "y3")
-    assert len(cands) == GAME_M
     out = []
     for _ in range(2):
-        ballots = [tuple(rng.sample(cands, GAME_M)) for _ in range(GAME_N)]
+        ballots = [tuple(rng.sample(cands, len(cands))) for _ in range(GAME_VOTERS)]
         out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
     for _ in range(2):
         ballots = []
-        for _ in range(GAME_N):
+        for _ in range(GAME_VOTERS):
             x = rng.sample(["x1", "x2"], 2)
             y = ["y1", "y2", "y3"] if rng.random() < 0.5 else ["y3", "y2", "y1"]
             top = rng.sample(["a", "b", "x", "y"], 4)
