@@ -28,10 +28,12 @@ decision is recorded on the game the first time it is made.
 
 Cost model.  Building a game builds the profile's core and margin rows once.
 Each field is then derived from the profile with no name checks, and its
-core, when the rule reads it, is a view of that core (see
-:mod:`clonelab.profiles`): the k distinct rankings cut down to the field,
-and the field's margins read off the profile's.  A node decision reads the
-block summary the same way, off the profile's core.  A field's PQ-tree,
+core, when the rule reads it, is built from its groups, with its margins
+read off the profile's rows (see :mod:`clonelab.profiles`).  The rules that
+read margins are the pairwise ones, and a ``^cc`` rule wherever a field's
+tree has a Q node to orient; a plain ``stv_i`` game reads none, and the one
+count up front is all it wastes.  A block summary's core is a view of the core it was cut
+from, and its margins are read off the same rows.  A field's PQ-tree,
 which a clone-aware rule builds, is still computed from the field's own
 rankings: removing candidates can create clone sets.  The clone distances
 come from one walk of the profile's tree, O(m²).  Verdicts read the kept
@@ -115,7 +117,7 @@ class GameSpec:
             raise ValueError(f"unknown game form {self.form!r}")
         f = resolve_rule(self.rule)
         profile = self.profile
-        profile._core.rows  # every field's margins are read off these
+        profile._core.rows  # counted before the fields, so theirs are read off these
         m = profile.m
         for size in range(1, m + 1):
             for codes in combinations(range(m), size):  # the fields, by candidate code

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, _cut, _derived, block_name
+from .profiles import Profile, _cut, _derived, _rows_at, block_name
 
 __all__ = [
     "PQNode",
@@ -79,8 +79,8 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     any one of its members does: each distinct ranking of the profile's core
     is cut down to one member per block, and every group keeps its own
     multiplicity.  The blocks are coded in the order voter 1 ranks them, so
-    the summary's core is a view of the profile's, its margins those of the
-    block representatives.
+    the summary's core is a view of the profile's (:meth:`_Core.view`), its
+    margins those of the block representatives.
     """
     core = profile._core
     name_of = {core.index[next(iter(child.members))]: child.name for child in children}
@@ -89,7 +89,7 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     cut = _cut(core, keep)
     named = {order: tuple(map(names.__getitem__, order)) for order in set(cut)}  # few blocks, few orders
     groups = tuple((named[cut[slot]], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
-    return _derived(names, groups, (profile, keep, cut))
+    return _derived(names, groups, _rows_at(profile, keep), (core, cut))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

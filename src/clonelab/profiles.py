@@ -20,18 +20,20 @@ it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
 
 A restriction (:func:`restrict`, :func:`remove_candidates`) and a PQ-tree
-block summary are views of their base's core.  They carry public groups
-like any profile, but their core is built only when first read,
-from the base core rather than from the groups: each of the base's k
-distinct code rankings is cut down to the kept codes (one representative
-per block for a summary) and renumbered, equal results merge with their
-weights summed, and the group slots are remapped.  When the base has its
-margin rows by then (or is itself a view that can read them off its own
-base), the view's rows are read on first use as the submatrix of those rows
-at the kept codes; otherwise they are counted afresh.  Nothing of the core
-is built at derivation, so a consumer that reads only the groups pays
-nothing for it; once built, a view's core holds at most the base's rows
-until it has read its own, never the base core.
+block summary carry public groups like any profile, and their core too is
+built only when first read.  Their margin rows are read off their base's:
+when the base has its rows at derivation (or can read them off its own
+base), the derived profile keeps just those rows and its kept codes (one
+representative per block for a summary), and its rows are read on first
+use as the submatrix there; otherwise they are counted afresh.  A
+restriction's core is otherwise built from its groups, as any profile's.
+A summary's is read off the base core, which the summary holds until then:
+each of the base's k distinct code rankings, already cut down to the
+blocks, is renumbered, equal results merge with their weights summed, and
+the group slots are remapped.  That costs a third of hashing the summary's
+block-name rankings; for a restriction the cut costs what the hashing
+does, so it is not done.  Nothing of the core is built at derivation, so a
+consumer that reads only the groups pays nothing for it.
 
 The text format accepted by :func:`parse_profile`::
 
@@ -111,11 +113,11 @@ class Profile:
 
     @cached_property
     def _core(self) -> _Core:
+        sub = self.__dict__.pop("_sub", None)
         view = self.__dict__.pop("_view_of", None)
         if view is None:
-            return _Core(self)
-        base, keep, cut = view
-        return _Core.view(self.candidates, base._core, keep, cut)
+            return _Core(self, sub)
+        return _Core.view(self.candidates, *view, sub)
 
     @property
     def m(self) -> int:
@@ -151,22 +153,38 @@ class Profile:
 def _derived(
     candidates: tuple[str, ...],
     groups: tuple[tuple[Ranking, int], ...],
-    view: tuple[Profile, Sequence[int], list | None] | None = None,
+    sub: tuple[tuple[tuple[int, ...], ...], Sequence[int]] | None = None,
+    view: tuple[_Core, list] | None = None,
 ) -> Profile:
     """A profile built from a valid one by a transformation that keeps it
     valid: the checks of ``__post_init__`` are skipped.
 
-    ``view`` is ``(base, keep, cut)`` when every ballot is a ballot of
-    ``base`` cut down to the candidates with base codes ``keep``, which
-    become this profile's candidates in order (``cut``: ``_cut(base._core,
-    keep)`` or None).  The core is then read off the base's on first use
-    (:meth:`_Core.view`), and the profile lets go of the base."""
+    ``sub`` is ``(rows, codes)`` (see :func:`_rows_at`) when this profile's
+    margin rows are ``rows`` at ``codes``.  ``view`` is ``(base, cut)`` when
+    group g's ranking is ``cut[base.slots[g]]`` in this profile's codes
+    (:meth:`_Core.view`); the profile lets go of both once its core is built."""
     profile = object.__new__(Profile)
     object.__setattr__(profile, "candidates", candidates)
     object.__setattr__(profile, "groups", groups)
+    if sub is not None:
+        profile.__dict__["_sub"] = sub
     if view is not None:
         profile.__dict__["_view_of"] = view
     return profile
+
+
+def _rows_at(profile: Profile, keep: Sequence[int]) -> tuple | None:
+    """Where the margin rows of ``profile`` cut down to its codes ``keep``
+    can be read, as ``(rows, codes)``: at ``keep`` in its own rows, or in the
+    rows its own are to be read off; None when it has neither yet."""
+    core = profile.__dict__.get("_core")
+    if core is not None and core._rows is not None:
+        return core._rows, keep
+    sub = profile.__dict__.get("_sub") if core is None else core._sub
+    if sub is None:
+        return None
+    rows, codes = sub
+    return rows, [codes[k] for k in keep]
 
 
 def _tally(pairs: Iterable[tuple]) -> tuple[tuple, tuple[int, ...], list[int]]:
@@ -207,13 +225,13 @@ class _Core:
         weights: the number of voters holding each distinct ranking.
         slots: for each public group, the index of its ranking in ``ballots``.
 
-    The margin rows are computed, or read off a base's, on first use and
-    kept.
+    The margin rows are computed, or read off a base's (``_sub``, see
+    :func:`_rows_at`), on first use and kept.
     """
 
     __slots__ = ("index", "ballots", "weights", "slots", "_rows", "_sub")
 
-    def __init__(self, profile: Profile) -> None:
+    def __init__(self, profile: Profile, sub: tuple | None = None) -> None:
         rankings, self.weights, slots = _tally(profile.groups)
         index = {c: k for k, c in enumerate(profile.candidates)}
         code = bytes if len(index) <= 256 else tuple
@@ -221,43 +239,23 @@ class _Core:
         self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in rankings)
         self.slots = tuple(slots)
         self._rows: tuple[tuple[int, ...], ...] | None = None
-        # (rows of a base, the codes kept from it): this core's rows, unread
-        self._sub: tuple[tuple[tuple[int, ...], ...], Sequence[int]] | None = None
+        self._sub = sub  # (rows of a base, the codes kept from it), until read
 
     @classmethod
-    def view(
-        cls, candidates: tuple[str, ...], base: _Core, keep: Sequence[int], cut: list | None = None
-    ) -> _Core:
-        """The core of a profile whose groups are ``base``'s groups cut down
-        to the codes ``keep`` (``candidates[k]`` holding base code ``keep[k]``);
-        ``cut`` is ``_cut(base, keep)`` when the caller has it already.
+    def view(cls, candidates: tuple[str, ...], base: _Core, cut: list, sub: tuple | None) -> _Core:
+        """The core of a profile whose group g ranks ``cut[base.slots[g]]``,
+        in codes of ``candidates``.
 
-        Base ballots that become equal merge, in the order the base first
-        holds them, which is the order the cut groups first hold them.  When
-        the base has its rows, or is itself a view that can read them off its
-        own base, this core's rows are read on first use as those rows at the
-        kept codes: the voters and their pairwise preferences are the base's,
-        and a block member ranks against the other blocks exactly as its block
-        does.  Otherwise they are counted afresh, which costs less than
-        counting the base's.  The core keeps no reference to ``base`` itself.
+        Cut rankings that are equal merge, in the order the base first holds
+        them, which is the order the groups first hold them.  ``sub`` is as
+        for :meth:`__init__`.
         """
         core = cls.__new__(cls)
-        if cut is None:
-            cut = _cut(base, keep)
-        if len(set(cut)) == len(cut):  # nothing merges
-            core.ballots, core.weights, core.slots = tuple(cut), base.weights, base.slots
-        else:
-            core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
-            core.slots = tuple(map(moved.__getitem__, base.slots))
+        core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
+        core.slots = tuple(map(moved.__getitem__, base.slots))
         core.index = {c: k for k, c in enumerate(candidates)}
         core._rows = None
-        if base._rows is not None:
-            core._sub = (base._rows, keep)
-        elif base._sub is not None:  # a view of a view reads the first base's rows
-            rows, codes = base._sub
-            core._sub = (rows, [codes[k] for k in keep])
-        else:
-            core._sub = None
+        core._sub = sub
         return core
 
     @property
@@ -439,12 +437,12 @@ def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
 
 def _kept(profile: Profile, keep: Sequence[int]) -> Profile:
     """The profile restricted to the candidates with codes ``keep``, in
-    ascending order; its core, when first used, is a view of the profile's
-    (:meth:`_Core.view`)."""
+    ascending order; its margin rows are read off the profile's when it has
+    them (:func:`_rows_at`)."""
     remaining = tuple(map(profile.candidates.__getitem__, keep))
     kept = frozenset(remaining).__contains__
     groups = tuple((tuple(filter(kept, ranking)), mult) for ranking, mult in profile.groups)
-    return _derived(remaining, groups, (profile, keep, None))
+    return _derived(remaining, groups, _rows_at(profile, keep))
 
 
 def block_name(members: Iterable[str]) -> str:

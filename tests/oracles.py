@@ -508,7 +508,7 @@ def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     no memo: each one-shot field is elected afresh with ``restrict``, the rule
     and ``clone_metric``, and each staged play walks the PQ-tree afresh.  The
     rule always sees a profile rebuilt from public groups, whose core is its
-    own, never a view of another profile's.
+    own, never one read off another profile's.
 
     Returns ``{candidate: ((dominant, witness), (obvious, witness))}`` for
     the one-shot form and ``{candidate: (obvious, witness)}`` for the staged

@@ -311,7 +311,7 @@ def _core_fields(core):
     return core.index, core.ballots, core.weights, core.slots, core.rows
 
 
-def _assert_views_match_rebuilt_cores(p):
+def _assert_derived_cores_match_rebuilt(p):
     """Every restriction, single removal and node summary of p, derived
     before and after p's margin rows exist, has the core a profile rebuilt
     from its public groups would have."""
@@ -320,8 +320,11 @@ def _assert_views_match_rebuilt_cores(p):
         if rows_first:
             base._core.rows
         removals = [remove_candidates(base, {c}) for c in base.candidates[: base.m - 1]]
-        # views of views come first, so each is read before its middle's rows
+        # removals of removals, derived before their middle has a core ...
         derived = [remove_candidates(q, {q.candidates[-1]}) for q in removals if q.m > 1]
+        for q in removals:
+            q._core  # ... and after it has one, with its margin rows unread
+        derived += [remove_candidates(q, {q.candidates[0]}) for q in removals if q.m > 1]
         derived += removals
         derived += [restrict(base, keep) for k in range(1, base.m + 1)
                     for keep in combinations(base.candidates, k)]
@@ -337,11 +340,11 @@ def _assert_views_match_rebuilt_cores(p):
 
 def test_derived_cores_match_rebuilt_cores(corpus, fixtures):
     for p in [*corpus, *fixtures.values()]:
-        _assert_views_match_rebuilt_cores(p)
+        _assert_derived_cores_match_rebuilt(p)
 
 
 def test_derived_cores_merge_rankings_and_keep_voter_indices():
-    """Distinct rankings that become equal merge in the view's core, while
+    """Distinct rankings that become equal merge in the derived core, while
     every voter keeps their own ballot for the voter-indexed rules."""
     groups = (
         (("a", "b", "c", "d"), 2),
@@ -351,7 +354,7 @@ def test_derived_cores_merge_rankings_and_keep_voter_indices():
         (("d", "c", "b", "a"), 2),
     )
     p = Profile(candidates=("a", "b", "c", "d"), groups=groups)
-    _assert_views_match_rebuilt_cores(p)
+    _assert_derived_cores_match_rebuilt(p)
     p._core.rows
     for keep in ({"a", "c"}, {"a", "c", "d"}, {"b", "d"}):
         q = restrict(p, keep)
@@ -363,15 +366,15 @@ def test_derived_cores_merge_rankings_and_keep_voter_indices():
             assert rp_i(q, i) == rp_i(rebuilt, i)
             assert stv_i_ranking(q, i) == stv_i_ranking(rebuilt, i)
             assert stv_i(q, i) == stv_i(rebuilt, i)
-        # a view of a view
+        # a removal from a restriction
         r = remove_candidates(q, {q.candidates[0]})
         assert _core_fields(r._core) == _core_fields(_Core(Profile(r.candidates, r.groups)))
 
 
 def test_derived_cores_past_one_byte_codes():
-    """A 257-candidate base codes rankings as tuples; views of at most 256
-    candidates code theirs as bytes, larger ones as tuples, as a rebuilt
-    profile would."""
+    """A 257-candidate base codes rankings as tuples; profiles derived from
+    it code theirs as bytes up to 256 candidates and as tuples above, as a
+    rebuilt profile would."""
     cands = tuple(f"c{k}" for k in range(257))
     rng = random.Random(9)
     ranking, other = tuple(rng.sample(cands, 257)), tuple(rng.sample(cands, 257))
