@@ -32,13 +32,13 @@ core, when the rule reads it, is built from its groups, with its margins
 read off the profile's rows (see :mod:`clonelab.profiles`).  The rules that
 read margins are the pairwise ones, and a ``^cc`` rule wherever a field's
 tree has a Q node to orient; a plain ``stv_i`` game reads none, and the one
-count up front is all it wastes.  A block summary's core is a view of the core it was cut
-from, and its margins are read off the same rows.  A field's PQ-tree,
-which a clone-aware rule builds, is still computed from the field's own
-rankings: removing candidates can create clone sets.  The clone distances
-come from one walk of the profile's tree, O(m²).  Verdicts read the kept
-winners and plays directly; only :func:`utility` and :func:`lambda_play`
-validate their arguments.
+count up front is all it wastes.  A block summary's core is a view of the
+core it was cut from, and its margins are read off the same rows.  A field's
+PQ-tree, which a clone-aware rule builds, is still computed from the field's
+own rankings: removing candidates can create clone sets.  The clone
+distances come from one walk of the profile's tree, O(m²).  Verdicts read
+the kept winners and plays directly; only :func:`utility` and
+:func:`lambda_play` validate their arguments.
 """
 
 from __future__ import annotations

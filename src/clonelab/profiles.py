@@ -24,15 +24,15 @@ block summary carry public groups like any profile, and their core too is
 built only when first read.  Their margin rows are read off their base's:
 when the base has its rows at derivation (or can read them off its own
 base), the derived profile keeps just those rows and its kept codes (one
-representative per block for a summary), and its rows are read on first
-use as the submatrix there; otherwise they are counted afresh.  A
-restriction's core is otherwise built from its groups, as any profile's.
-A summary's is read off the base core, which the summary holds until then:
-each of the base's k distinct code rankings, already cut down to the
-blocks, is renumbered, equal results merge with their weights summed, and
-the group slots are remapped.  That costs a third of hashing the summary's
-block-name rankings; for a restriction the cut costs what the hashing
-does, so it is not done.  Nothing of the core is built at derivation, so a
+representative per block for a summary), and its rows are read on first use
+as the submatrix there; otherwise they are counted afresh.  A restriction's
+core is otherwise built from its groups, as any profile's.  A summary's is
+read off the base core, which the summary holds until then: each of the
+base's k distinct code rankings, already cut down to the blocks, is
+renumbered, equal results merge with their weights summed, and the group
+slots are remapped.  That costs under half of hashing the summary's
+block-name rankings; for a restriction the cut costs what the hashing does,
+so it is not done.  Nothing of the core is built at derivation, so a
 consumer that reads only the groups pays nothing for it.
 
 The text format accepted by :func:`parse_profile`::
