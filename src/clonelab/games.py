@@ -27,18 +27,18 @@ staged form adds one call per distinct node decision: each play and each
 decision is recorded on the game the first time it is made.
 
 Cost model.  Building a game builds the profile's core and margin rows once.
-Each field is then derived from the profile with no name checks, and its
-core, when the rule reads it, is built from its groups, with its margins
-read off the profile's rows (see :mod:`clonelab.profiles`).  The rules that
-read margins are the pairwise ones, and a ``^cc`` rule wherever a field's
-tree has a Q node to orient; a plain ``stv_i`` game reads none, and the one
-count up front is all it wastes.  A block summary's core is a view of the
-core it was cut from, and its margins are read off the same rows.  A field's
-PQ-tree, which a clone-aware rule builds, is still computed from the field's
-own rankings: removing candidates can create clone sets.  The clone
-distances come from one walk of the profile's tree, O(m²).  Verdicts read
-the kept winners and plays directly; only :func:`utility` and
-:func:`lambda_play` validate their arguments.
+Each field, and each block summary a staged decision shows the rule, is cut
+from that core with no name checks (:func:`clonelab.profiles._derive`): the
+profile's k distinct code rankings are cut down and merged, which gives the
+field its core and names its groups at once, and its margins, when a rule
+reads them, are read off the profile's rows.  The rules that read margins
+are the pairwise ones, and a ``^cc`` rule wherever a field's tree has a Q
+node to orient; a plain ``stv_i`` game reads none, and the one count up
+front is all it wastes.  A field's PQ-tree, which a clone-aware rule builds,
+is still computed from the field's own rankings: removing candidates can
+create clone sets.  The clone distances come from one walk of the profile's
+tree, O(m²).  Verdicts read the kept winners and plays directly; only
+:func:`utility` and :func:`lambda_play` validate their arguments.
 """
 
 from __future__ import annotations
@@ -168,6 +168,22 @@ def _run_and_drop(game: GameSpec, a: str, others: tuple[str, ...]) -> tuple[int,
     )
 
 
+def _worst_run_best_drop(outcomes: Iterable[tuple]) -> tuple | None:
+    """The worst Run and the best Drop over ``(run utility, drop utility,
+    run context, drop context)`` outcomes, each as ``(utility, context)``
+    where first found; None when there is no outcome or the worst Run is at
+    least the best Drop, so that Run is obviously dominant."""
+    worst_run = best_drop = None
+    for u_run, u_drop, run_at, drop_at in outcomes:
+        if worst_run is None or u_run < worst_run[0]:
+            worst_run = (u_run, run_at)
+        if best_drop is None or u_drop > best_drop[0]:
+            best_drop = (u_drop, drop_at)
+    if worst_run is None or worst_run[0] >= best_drop[0]:
+        return None
+    return worst_run, best_drop
+
+
 def gamma_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | None]:
     """Is Run a (weakly) dominant strategy for ``a`` in the one-shot game?
 
@@ -193,23 +209,18 @@ def gamma_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | N
     worst Run outcome over all opposing fields must be at least the best
     Drop outcome over all opposing fields.
     """
-    worst_run: tuple[int, tuple] | None = None
-    best_drop: tuple[int, tuple] | None = None
-    for field in _opponent_fields(game, a):
-        u_run, u_drop = _run_and_drop(game, a, field)
-        if worst_run is None or u_run < worst_run[0]:
-            worst_run = (u_run, field)
-        if best_drop is None or u_drop > best_drop[0]:
-            best_drop = (u_drop, field)
-    assert worst_run is not None and best_drop is not None
-    if worst_run[0] >= best_drop[0]:
+    found = _worst_run_best_drop(
+        (*_run_and_drop(game, a, field), field, field) for field in _opponent_fields(game, a)
+    )
+    if found is None:
         return True, None
+    (u_run, run_others), (u_drop, drop_others) = found
     return False, {
         "candidate": a,
-        "worst_run_utility": worst_run[0],
-        "worst_run_others": sorted(worst_run[1]),
-        "best_drop_utility": best_drop[0],
-        "best_drop_others": sorted(best_drop[1]),
+        "worst_run_utility": u_run,
+        "worst_run_others": sorted(run_others),
+        "best_drop_utility": u_drop,
+        "best_drop_others": sorted(drop_others),
     }
 
 
@@ -324,28 +335,28 @@ def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | 
     if a not in game.profile.candidates:
         raise ValueError(f"unknown candidate {a!r}")
     others = sorted(set(game.profile.candidates) - {a})
-    worst_run: tuple[int, dict] | None = None
-    best_drop: tuple[int, dict] | None = None
-    for choice in product((RUN, DROP), repeat=len(others)):
-        running = frozenset(c for c, act in zip(others, choice) if act == RUN)
-        ran = _play(game, running | {a})
-        if a not in ran.asked:
-            continue
-        dropped = _play(game, running)
-        u_run, u_drop = _payoff(game, a, ran.winner), _payoff(game, a, dropped.winner)
-        if worst_run is None or u_run < worst_run[0]:
-            worst_run = (u_run, {"opponents": dict(zip(others, choice)), "winner": ran.winner})
-        if best_drop is None or u_drop > best_drop[0]:
-            best_drop = (u_drop, {"opponents": dict(zip(others, choice)), "winner": dropped.winner})
-    if worst_run is None:
-        return True, None  # never asked under any opposing behaviour
-    assert best_drop is not None
-    if worst_run[0] >= best_drop[0]:
-        return True, None
+
+    def outcomes():
+        for choice in product((RUN, DROP), repeat=len(others)):
+            running = frozenset(c for c, act in zip(others, choice) if act == RUN)
+            ran = _play(game, running | {a})
+            if a in ran.asked:
+                dropped = _play(game, running)
+                yield (
+                    _payoff(game, a, ran.winner),
+                    _payoff(game, a, dropped.winner),
+                    (choice, ran.winner),
+                    (choice, dropped.winner),
+                )
+
+    found = _worst_run_best_drop(outcomes())
+    if found is None:
+        return True, None  # never asked, or Run is obviously dominant
+    (u_run, (run_choice, run_winner)), (u_drop, (drop_choice, drop_winner)) = found
     return False, {
         "candidate": a,
-        "worst_run_utility": worst_run[0],
-        "worst_run": worst_run[1],
-        "best_drop_utility": best_drop[0],
-        "best_drop": best_drop[1],
+        "worst_run_utility": u_run,
+        "worst_run": {"opponents": dict(zip(others, run_choice)), "winner": run_winner},
+        "best_drop_utility": u_drop,
+        "best_drop": {"opponents": dict(zip(others, drop_choice)), "winner": drop_winner},
     }

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, _cut, _derived, _rows_at, block_name
+from .profiles import Profile, _derive, block_name
 
 __all__ = [
     "PQNode",
@@ -76,20 +76,14 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     """The profile restricted to a node, each child block collapsed to its name.
 
     Every ballot ranks each child block consecutively, so a block sits where
-    any one of its members does: each distinct ranking of the profile's core
-    is cut down to one member per block, and every group keeps its own
-    multiplicity.  The blocks are coded in the order voter 1 ranks them, so
-    the summary's core is a view of the profile's (:meth:`_Core.view`), its
-    margins those of the block representatives.
+    any one of its members does: the summary is the profile cut down to one
+    member per block (:func:`clonelab.profiles._derive`), the blocks in the
+    order voter 1 ranks them, and its margins are those of the members.
     """
     core = profile._core
     name_of = {core.index[next(iter(child.members))]: child.name for child in children}
     keep = [c for c in core.ballots[0] if c in name_of]  # voter 1's order of the blocks
-    names = tuple(map(name_of.__getitem__, keep))
-    cut = _cut(core, keep)
-    named = {order: tuple(map(names.__getitem__, order)) for order in set(cut)}  # few blocks, few orders
-    groups = tuple((named[cut[slot]], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
-    return _derived(names, groups, _rows_at(profile, keep), (core, cut))
+    return _derive(profile, keep, tuple(map(name_of.__getitem__, keep)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -7,8 +7,8 @@ then within-group repetition), so voter-indexed rules have a stable meaning
 after any of the transformations here: none of them merge or reorder groups.
 
 Under the public groups each profile keeps a private integer core, built on
-first use and then kept with the profile (it takes no part in equality,
-hashing or repr).  It codes each candidate by its place in ``candidates``,
+first use (at derivation for a derived profile, below) and then kept with
+the profile (it takes no part in equality, hashing or repr).  It codes each candidate by its place in ``candidates``,
 holds the distinct rankings as code sequences with their voter counts, in
 order of first appearance (voter 1's ranking first), and the margin rows
 every pairwise rule reads.  The rows come from a packed-integer kernel: with
@@ -19,21 +19,16 @@ addition per ballot position counts a candidate's wins over everyone below
 it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
 
-A restriction (:func:`restrict`, :func:`remove_candidates`) and a PQ-tree
-block summary carry public groups like any profile, and their core too is
-built only when first read.  Their margin rows are read off their base's:
-when the base has its rows at derivation (or can read them off its own
-base), the derived profile keeps just those rows and its kept codes (one
-representative per block for a summary), and its rows are read on first use
-as the submatrix there; otherwise they are counted afresh.  A restriction's
-core is otherwise built from its groups, as any profile's.  A summary's is
-read off the base core, which the summary holds until then: each of the
-base's k distinct code rankings, already cut down to the blocks, is
-renumbered, equal results merge with their weights summed, and the group
-slots are remapped.  That costs under half of hashing the summary's
-block-name rankings; for a restriction the cut costs what the hashing does,
-so it is not done.  Nothing of the core is built at derivation, so a
-consumer that reads only the groups pays nothing for it.
+Every profile derived by dropping or merging candidates (:func:`restrict`,
+:func:`remove_candidates`, :func:`summarize` and a PQ-tree block summary)
+goes one way, :func:`_derive`: each of the base core's k distinct code
+rankings is cut down to the kept codes (one representative per block for a
+summary) and renumbered, equal results merge with their weights summed, and
+the group slots are remapped.  That is the derived profile's core, and its
+public groups are named from it, one name tuple per distinct cut ranking,
+every group keeping its multiplicity and place.  Its margin rows are read on
+first use as the submatrix of the base's rows (or of the rows the base's own
+are read off), and counted afresh when the base had no rows at derivation.
 
 The text format accepted by :func:`parse_profile`::
 
@@ -113,11 +108,7 @@ class Profile:
 
     @cached_property
     def _core(self) -> _Core:
-        sub = self.__dict__.pop("_sub", None)
-        view = self.__dict__.pop("_view_of", None)
-        if view is None:
-            return _Core(self, sub)
-        return _Core.view(self.candidates, *view, sub)
+        return _Core(self)
 
     @property
     def m(self) -> int:
@@ -153,38 +144,17 @@ class Profile:
 def _derived(
     candidates: tuple[str, ...],
     groups: tuple[tuple[Ranking, int], ...],
-    sub: tuple[tuple[tuple[int, ...], ...], Sequence[int]] | None = None,
-    view: tuple[_Core, list] | None = None,
+    core: _Core | None = None,
 ) -> Profile:
     """A profile built from a valid one by a transformation that keeps it
-    valid: the checks of ``__post_init__`` are skipped.
-
-    ``sub`` is ``(rows, codes)`` (see :func:`_rows_at`) when this profile's
-    margin rows are ``rows`` at ``codes``.  ``view`` is ``(base, cut)`` when
-    group g's ranking is ``cut[base.slots[g]]`` in this profile's codes
-    (:meth:`_Core.view`); the profile lets go of both once its core is built."""
+    valid: the checks of ``__post_init__`` are skipped.  ``core``, when
+    given, is the profile's core, already built."""
     profile = object.__new__(Profile)
     object.__setattr__(profile, "candidates", candidates)
     object.__setattr__(profile, "groups", groups)
-    if sub is not None:
-        profile.__dict__["_sub"] = sub
-    if view is not None:
-        profile.__dict__["_view_of"] = view
+    if core is not None:
+        profile.__dict__["_core"] = core  # ahead of the cached_property
     return profile
-
-
-def _rows_at(profile: Profile, keep: Sequence[int]) -> tuple | None:
-    """Where the margin rows of ``profile`` cut down to its codes ``keep``
-    can be read, as ``(rows, codes)``: at ``keep`` in its own rows, or in the
-    rows its own are to be read off; None when it has neither yet."""
-    core = profile.__dict__.get("_core")
-    if core is not None and core._rows is not None:
-        return core._rows, keep
-    sub = profile.__dict__.get("_sub") if core is None else core._sub
-    if sub is None:
-        return None
-    rows, codes = sub
-    return rows, [codes[k] for k in keep]
 
 
 def _tally(pairs: Iterable[tuple]) -> tuple[tuple, tuple[int, ...], list[int]]:
@@ -203,16 +173,37 @@ def _tally(pairs: Iterable[tuple]) -> tuple[tuple, tuple[int, ...], list[int]]:
     return tuple(slot_of), tuple(weights), slots
 
 
-def _cut(core: _Core, keep: Sequence[int]) -> list:
-    """Each distinct ballot of ``core`` cut down to the codes in ``keep``,
-    code ``keep[k]`` renumbered k (bytes for at most 256 codes)."""
-    if isinstance(core.ballots[0], bytes):
+def _derive(profile: Profile, keep: Sequence[int], names: tuple[str, ...]) -> Profile:
+    """The profile cut down to its codes ``keep``, code ``keep[k]`` becoming
+    candidate ``names[k]`` (see the module docstring).
+
+    Cut rankings that are equal merge, in the order the base first holds
+    them, which is the order the groups first hold them.
+    """
+    base = profile._core
+    if isinstance(base.ballots[0], bytes):
         table = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
-        drop = bytes(set(range(len(core.index))).difference(keep))
-        return [ballot.translate(table, drop) for ballot in core.ballots]
-    code = bytes if len(keep) <= 256 else tuple
-    new = {c: k for k, c in enumerate(keep)}
-    return [code(new[c] for c in ballot if c in new) for ballot in core.ballots]
+        drop = bytes(set(range(len(base.index))).difference(keep))
+        cut = [ballot.translate(table, drop) for ballot in base.ballots]
+    else:
+        code = bytes if len(keep) <= 256 else tuple
+        new = {c: k for k, c in enumerate(keep)}
+        cut = [code(new[c] for c in ballot if c in new) for ballot in base.ballots]
+    core = _Core.__new__(_Core)
+    core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
+    core.slots = tuple(map(moved.__getitem__, base.slots))
+    core.index = {c: k for k, c in enumerate(names)}
+    core._rows = None
+    if base._rows is not None:
+        core._sub = (base._rows, keep)
+    elif base._sub is not None:
+        rows, codes = base._sub
+        core._sub = (rows, [codes[k] for k in keep])
+    else:
+        core._sub = None
+    named = [tuple(map(names.__getitem__, ballot)) for ballot in core.ballots]
+    groups = tuple((named[slot], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
+    return _derived(names, groups, core)
 
 
 class _Core:
@@ -225,13 +216,13 @@ class _Core:
         weights: the number of voters holding each distinct ranking.
         slots: for each public group, the index of its ranking in ``ballots``.
 
-    The margin rows are computed, or read off a base's (``_sub``, see
-    :func:`_rows_at`), on first use and kept.
+    The margin rows are computed, or read off a base's (``_sub``, set by
+    :func:`_derive`), on first use and kept.
     """
 
     __slots__ = ("index", "ballots", "weights", "slots", "_rows", "_sub")
 
-    def __init__(self, profile: Profile, sub: tuple | None = None) -> None:
+    def __init__(self, profile: Profile) -> None:
         rankings, self.weights, slots = _tally(profile.groups)
         index = {c: k for k, c in enumerate(profile.candidates)}
         code = bytes if len(index) <= 256 else tuple
@@ -239,24 +230,7 @@ class _Core:
         self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in rankings)
         self.slots = tuple(slots)
         self._rows: tuple[tuple[int, ...], ...] | None = None
-        self._sub = sub  # (rows of a base, the codes kept from it), until read
-
-    @classmethod
-    def view(cls, candidates: tuple[str, ...], base: _Core, cut: list, sub: tuple | None) -> _Core:
-        """The core of a profile whose group g ranks ``cut[base.slots[g]]``,
-        in codes of ``candidates``.
-
-        Cut rankings that are equal merge, in the order the base first holds
-        them, which is the order the groups first hold them.  ``sub`` is as
-        for :meth:`__init__`.
-        """
-        core = cls.__new__(cls)
-        core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
-        core.slots = tuple(map(moved.__getitem__, base.slots))
-        core.index = {c: k for k, c in enumerate(candidates)}
-        core._rows = None
-        core._sub = sub
-        return core
+        self._sub: tuple | None = None  # (rows of a base, the codes kept from it), until read
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -437,12 +411,8 @@ def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
 
 def _kept(profile: Profile, keep: Sequence[int]) -> Profile:
     """The profile restricted to the candidates with codes ``keep``, in
-    ascending order; its margin rows are read off the profile's when it has
-    them (:func:`_rows_at`)."""
-    remaining = tuple(map(profile.candidates.__getitem__, keep))
-    kept = frozenset(remaining).__contains__
-    groups = tuple((tuple(filter(kept, ranking)), mult) for ranking, mult in profile.groups)
-    return _derived(remaining, groups, _rows_at(profile, keep))
+    ascending order."""
+    return _derive(profile, keep, tuple(map(profile.candidates.__getitem__, keep)))
 
 
 def block_name(members: Iterable[str]) -> str:
@@ -463,25 +433,27 @@ def summarize(profile: Profile, decomposition: Iterable[frozenset[str]]) -> Prof
     """
     blocks = [frozenset(b) for b in decomposition]
     flat = [c for b in blocks for c in b]
-    if len(flat) != len(set(flat)) or set(flat) != set(profile.candidates):
+    if not all(blocks) or len(flat) != len(set(flat)) or set(flat) != set(profile.candidates):
         raise ValueError("blocks must partition the candidate set")
-    owner = {c: block_name(b) for b in blocks for c in b}
-    size = {block_name(b): len(b) for b in blocks}
-
-    groups: list[tuple[Ranking, int]] = []
-    for ranking, mult in profile.groups:
-        seq: list[str] = []
+    core = profile._core
+    owner = [0] * profile.m  # candidate code -> the number of its block
+    for number, members in enumerate(blocks):
+        for c in members:
+            owner[core.index[c]] = number
+    for ballot in core.ballots:
         run = 0  # positions left in the block currently being crossed
-        for c in ranking:
-            name = owner[c]
+        for c in ballot:
             if run == 0:
-                seq.append(name)
-                run = size[name]
-            elif name != seq[-1]:
-                raise ValueError(f"block {seq[-1]!r} is not consecutive in ballot {ranking}")
+                block = owner[c]
+                run = len(blocks[block])
+            elif owner[c] != block:
+                ranking = tuple(map(profile.candidates.__getitem__, ballot))
+                name = block_name(blocks[block])
+                raise ValueError(f"block {name!r} is not consecutive in ballot {ranking}")
             run -= 1
-        groups.append((tuple(seq), mult))
-    return _derived(groups[0][0], tuple(groups))
+    first = core.ballots[0]
+    keep = [c for k, c in enumerate(first) if k == 0 or owner[c] != owner[first[k - 1]]]
+    return _derive(profile, keep, tuple(block_name(blocks[owner[c]]) for c in keep))
 
 
 def reverse_profile(profile: Profile) -> Profile:

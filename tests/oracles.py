@@ -12,13 +12,39 @@ from itertools import chain, combinations, permutations, product
 from clonelab.clones import clone_metric
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
-from clonelab.profiles import Profile, remove_candidates, restrict, reverse_profile, summarize
+from clonelab.profiles import Profile, reverse_profile
 from clonelab.transform import resolve_rule
 
 
 def nonempty_subsets(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k) for k in range(1, len(items) + 1))
+
+
+def brute_restrict(profile: Profile, keep) -> Profile:
+    """Every ballot filtered name by name to ``keep``, validated afresh as a
+    new profile: candidates in the profile's order, groups never merged."""
+    kept = set(keep)
+    return Profile(
+        candidates=tuple(c for c in profile.candidates if c in kept),
+        groups=tuple((tuple(c for c in r if c in kept), mult) for r, mult in profile.groups),
+    )
+
+
+def brute_summarize(profile: Profile, blocks) -> Profile:
+    """Each block collapsed, ballot by ballot, into its members sorted and
+    '+'-joined: a ballot's run of one block's names becomes one name.  The
+    candidates are voter 1's collapsed ballot.  Raises ValueError when some
+    block is not one run on some ballot."""
+    name = {c: "+".join(sorted(block)) for block in blocks for c in block}
+    groups = []
+    for ranking, mult in profile.groups:
+        named = [name[c] for c in ranking]
+        runs = tuple(x for k, x in enumerate(named) if k == 0 or x != named[k - 1])
+        if len(runs) != len(set(runs)):
+            raise ValueError(f"a block is split in ballot {ranking}")
+        groups.append((runs, mult))
+    return Profile(candidates=groups[0][0], groups=tuple(groups))
 
 
 def brute_clone_sets(profile: Profile) -> frozenset[frozenset[str]]:
@@ -217,7 +243,7 @@ def _brute_orders(profile: Profile, losers) -> frozenset[tuple[str, ...]]:
         if len(remaining) == 1:
             return frozenset({tuple(remaining)})
         if remaining not in memo:
-            current = restrict(profile, remaining)
+            current = brute_restrict(profile, remaining)
             memo[remaining] = frozenset(
                 head + (loser,)
                 for loser in losers(current)
@@ -279,7 +305,7 @@ def brute_alt_smith(profile: Profile) -> frozenset[str]:
 
     def run(remaining: frozenset[str]) -> frozenset[str]:
         if remaining not in memo:
-            current = restrict(profile, remaining)
+            current = brute_restrict(profile, remaining)
             top = brute_smith(current)
             if len(top) == 1:
                 memo[remaining] = top
@@ -446,13 +472,13 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
         return c in runners
 
     def single(packed) -> str:
-        (w,) = f(Profile(packed.candidates, packed.groups))  # a core of its own
+        (w,) = f(packed)
         return w
 
     def summary(node) -> Profile:
-        """The node's child blocks collapsed, by the public restrict and summarize."""
+        """The node's child blocks collapsed, name by name."""
         blocks = [child.members for child in node.children]
-        return summarize(restrict(profile, node.members), blocks)
+        return brute_summarize(brute_restrict(profile, node.members), blocks)
 
     def process(node):
         if node.is_leaf:
@@ -469,7 +495,8 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
                         gone.add(ch.name)
                 if len(gone) == len(node.children):
                     return None
-                block = single(remove_candidates(summary(node), gone))
+                packed = summary(node)
+                block = single(brute_restrict(packed, set(packed.candidates) - gone))
                 chosen = next(ch for ch in node.children if ch.name == block)
                 if chosen.is_leaf:
                     return next(iter(chosen.members))
@@ -482,7 +509,7 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
                 walk = alive
             else:
                 pair = {alive[0].name, alive[1].name}
-                block = single(restrict(summary(node), pair))
+                block = single(brute_restrict(summary(node), pair))
                 walk = alive if block == alive[0].name else alive[::-1]
             restart = False
             for ch in walk:
@@ -505,10 +532,11 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
 
 def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     """Every candidate's candidacy verdicts, with witnesses, recomputed with
-    no memo: each one-shot field is elected afresh with ``restrict``, the rule
-    and ``clone_metric``, and each staged play walks the PQ-tree afresh.  The
-    rule always sees a profile rebuilt from public groups, whose core is its
-    own, never one read off another profile's.
+    no memo: each one-shot field is elected afresh with :func:`brute_restrict`,
+    the rule and ``clone_metric``, and each staged play walks the PQ-tree
+    afresh over :func:`brute_summarize`.  The rule always sees a profile
+    built and validated from name tuples, whose core is its own, never one
+    cut from another profile's.
 
     Returns ``{candidate: ((dominant, witness), (obvious, witness))}`` for
     the one-shot form and ``{candidate: (obvious, witness)}`` for the staged
@@ -524,8 +552,7 @@ def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     def elect(field):
         if not field:
             return None
-        runners = restrict(profile, field)
-        (w,) = f(Profile(runners.candidates, runners.groups))  # a core of its own
+        (w,) = f(brute_restrict(profile, field))
         return w
 
     out = {}

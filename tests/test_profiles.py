@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_margins
+from oracles import brute_margins, brute_restrict, brute_summarize
 
 from clonelab.profiles import (
     Profile,
@@ -23,6 +23,7 @@ from clonelab.profiles import (
     serialize_profile,
     summarize,
 )
+from clonelab.clones import enumerate_decompositions
 from clonelab.pqtree import _child_summary, build_pqtree, internal_nodes
 from clonelab.scf import rp_i, rp_i_ranking, stv_i, stv_i_ranking
 from clonelab.transform import cc_transform
@@ -173,8 +174,12 @@ def test_summarize_rejects_non_contiguous_block():
     p = parse_profile("candidates: a,b,c\n1: a>b>c\n1: b>a>c\n1: a>c>b\n")
     with pytest.raises(ValueError):
         summarize(p, [{"a", "c"}, {"b"}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive in ballot"):
+        summarize(p, [{"a", "b"}, {"c"}])  # only the third ballot splits a block
+    with pytest.raises(ValueError, match="partition"):
         summarize(p, [{"a"}, {"b"}])  # not a partition
+    with pytest.raises(ValueError, match="partition"):
+        summarize(p, [set(), {"a", "b"}, {"c"}])  # an empty block
 
 
 def test_reverse_profile():
@@ -328,11 +333,8 @@ def _assert_derived_cores_match_rebuilt(p):
         derived += removals
         derived += [restrict(base, keep) for k in range(1, base.m + 1)
                     for keep in combinations(base.candidates, k)]
-        for node in internal_nodes(build_pqtree(base)):
-            summary = _child_summary(base, node.children)
-            blocks = [child.members for child in node.children]
-            assert summary == summarize(restrict(p, node.members), blocks), (p, node)
-            derived.append(summary)
+        nodes = internal_nodes(build_pqtree(base))
+        derived += [_child_summary(base, node.children) for node in nodes]
         for q in derived:
             want = _core_fields(_Core(Profile(q.candidates, q.groups)))
             assert _core_fields(q._core) == want, (p, q)
@@ -374,11 +376,19 @@ def test_derived_cores_merge_rankings_and_keep_voter_indices():
 def test_derived_cores_past_one_byte_codes():
     """A 257-candidate base codes rankings as tuples; profiles derived from
     it code theirs as bytes up to 256 candidates and as tuples above, as a
-    rebuilt profile would."""
+    rebuilt profile would, and name their groups as the oracles do.  A
+    planted block gives summaries that merge some of its rankings."""
     cands = tuple(f"c{k}" for k in range(257))
     rng = random.Random(9)
     ranking, other = tuple(rng.sample(cands, 257)), tuple(rng.sample(cands, 257))
-    p = Profile(candidates=cands, groups=((ranking, 2), (ranking[::-1], 1), (other, 1), (ranking, 1)))
+    block = ranking[100:104]
+    swapped = ranking[:100] + block[::-1] + ranking[104:]
+    rest = [c for c in other if c not in block]
+    other = (*rest[:50], *block[1:], block[0], *rest[50:])  # the block kept whole
+    p = Profile(
+        candidates=cands,
+        groups=((ranking, 2), (ranking[::-1], 1), (other, 1), (swapped, 1), (ranking, 1)),
+    )
     tree = build_pqtree(p)
     for rows_first in (False, True):
         base = Profile(p.candidates, p.groups)
@@ -395,3 +405,39 @@ def test_derived_cores_past_one_byte_codes():
             assert _core_fields(q._core) == _core_fields(_Core(Profile(q.candidates, q.groups)))
         assert isinstance(derived[0]._core.ballots[0], bytes)
         assert isinstance(derived[1]._core.ballots[0], tuple)
+    subsets = [cands, ranking[::37], ranking[:256], ranking[1:], cands[:2], block, (cands[5],)]
+    _assert_derivations_match_brute(p, subsets)
+
+
+def _assert_derivations_match_brute(p, subsets):
+    """Each restriction to ``subsets``, every single removal, removals of
+    removals, every summary over a clone decomposition and every node's
+    child summary of p, derived before and after p's margin rows exist,
+    equals the profile the name-level oracles build."""
+    everyone = set(p.candidates)
+    for rows_first in (False, True):
+        base = Profile(p.candidates, p.groups)  # a fresh core, rows not counted yet
+        if rows_first:
+            base._core.rows
+        for keep in subsets:
+            assert restrict(base, keep) == brute_restrict(p, keep), (p, keep)
+        for c in p.candidates[: p.m - 1]:
+            once = remove_candidates(base, {c})
+            assert once == brute_restrict(p, everyone - {c}), (p, c)
+            if once.m > 1:
+                d = once.candidates[-1]
+                twice = remove_candidates(once, {d})
+                assert twice == brute_restrict(p, everyone - {c, d}), (p, c, d)
+        for blocks in enumerate_decompositions(base):
+            assert summarize(base, blocks) == brute_summarize(p, blocks), (p, blocks)
+        for node in internal_nodes(build_pqtree(base)):
+            blocks = [child.members for child in node.children]
+            want = brute_summarize(brute_restrict(p, node.members), blocks)
+            assert _child_summary(base, node.children) == want, (p, node)
+
+
+def test_derivations_match_name_level_oracles(corpus, fixtures):
+    for p in [*corpus, *fixtures.values()]:
+        subsets = [keep for k in range(1, p.m + 1) for keep in combinations(p.candidates, k)]
+        _assert_derivations_match_brute(p, subsets)
+
