@@ -14,6 +14,7 @@ variants drop that restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations, product
 
 from .clones import EnumerationCapExceeded, clone_structure, enumerate_decompositions
@@ -84,10 +85,10 @@ def check_ioc(rule, profile: Profile) -> AxiomVerdict:
     clone set wins, nor any outsider's fate."""
     f = resolve_rule(rule)
     winners = f(profile)
+    without = cache(lambda a: f(remove_candidates(profile, {a})))  # nested sets share removals
     for k in _nontrivial_clone_sets(profile):
         for a in sorted(k):
-            reduced = remove_candidates(profile, {a})
-            reduced_winners = f(reduced)
+            reduced_winners = without(a)
             base = {
                 "clone_set": sorted(k),
                 "removed": a,
@@ -165,7 +166,7 @@ def check_monotonicity_ca(rule, profile: Profile, *, clone_aware: bool = True) -
     axiom = "mono_ca" if clone_aware else "mono"
     f = resolve_rule(rule)
     winners = f(profile)
-    structure = clone_structure(profile)
+    structure = clone_structure(profile) if clone_aware else None
     for a in sorted(winners):
         for i in range(1, profile.n + 1):
             ranking = profile.voter_ranking(i)
@@ -205,7 +206,7 @@ def check_participation_ca(rule, profile: Profile, *, clone_aware: bool = True) 
     axiom = "part_ca" if clone_aware else "part"
     f = resolve_rule(rule)
     winners = f(profile)
-    structure = clone_structure(profile)
+    structure = clone_structure(profile) if clone_aware else None
     for ranking in permutations(profile.candidates):
         bigger = add_voter(profile, ranking)
         if clone_aware and clone_structure(bigger) != structure:
@@ -245,7 +246,7 @@ def check_isda_ca(rule, profile: Profile, *, clone_aware: bool = True) -> AxiomV
     f = resolve_rule(rule)
     winners = f(profile)
     top = smith(profile)
-    structure = clone_structure(profile)
+    structure = clone_structure(profile) if clone_aware else None
     for a in sorted(set(profile.candidates) - top):
         reduced = remove_candidates(profile, {a})
         if clone_aware and clone_structure(reduced) != _structure_minus(structure, a):
@@ -285,10 +286,11 @@ def check_ioc_spf(spf, profile: Profile) -> AxiomVerdict:
     z = _fresh_name(profile)
     try:
         base = fn(profile)
+        without = cache(lambda a: fn(remove_candidates(profile, {a})))  # as in check_ioc
         for k in _nontrivial_clone_sets(profile):
             collapsed = frozenset(neg(r, k, z) for r in base)
             for a in sorted(k):
-                reduced = fn(remove_candidates(profile, {a}))
+                reduced = without(a)
                 collapsed_reduced = frozenset(neg(r, k - {a}, z) for r in reduced)
                 if collapsed != collapsed_reduced:
                     return AxiomVerdict(

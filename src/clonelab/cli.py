@@ -209,12 +209,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_candidacy(args) -> int:
     profile = _load(args.profile)
-    game = GameSpec(profile=profile, rule=args.rule, form=args.form)
     names = sorted(profile.candidates)
     if args.candidate is not None:
         if args.candidate not in profile.candidates:
             raise ValueError(f"unknown candidate {args.candidate!r}")
         names = [args.candidate]
+    game = GameSpec(profile=profile, rule=args.rule, form=args.form)
     lines: list[str] = []
     records: list[dict] = []
     for name in names:

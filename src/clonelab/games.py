@@ -30,13 +30,13 @@ Cost model.  Building a game builds the profile's core and margin rows once.
 Each field, and each block summary a staged decision shows the rule, is cut
 from that core with no name checks (:func:`clonelab.profiles._derive`): the
 profile's k distinct code rankings are cut down and merged, which gives the
-field its core and names its groups at once, and its margins, when a rule
-reads them, are read off the profile's rows.  The rules that read margins
-are the pairwise ones, and a ``^cc`` rule wherever a field's tree has a Q
-node to orient; a plain ``stv_i`` game reads none, and the one count up
-front is all it wastes.  A field's PQ-tree, which a clone-aware rule builds,
-is still computed from the field's own rankings: removing candidates can
-create clone sets.  The clone distances come from one walk of the profile's
+field its core and names its groups at once, and its margin rows are the
+submatrix of the profile's, cut then.  The rules that read margins are the
+pairwise ones, and a ``^cc`` rule wherever a field's tree has a Q node to
+orient; a plain ``stv_i`` game reads none, and the one count up front and
+the submatrices are all it wastes.  A field's PQ-tree, which a clone-aware
+rule builds, is still computed from the field's own rankings: removing
+candidates can create clone sets.  The clone distances come from one walk of the profile's
 tree, O(m²).  Verdicts read the kept winners and plays directly; only
 :func:`utility` and :func:`lambda_play` validate their arguments.
 """
@@ -117,7 +117,7 @@ class GameSpec:
             raise ValueError(f"unknown game form {self.form!r}")
         f = resolve_rule(self.rule)
         profile = self.profile
-        profile._core.rows  # counted before the fields, so theirs are read off these
+        profile._core.rows  # counted before the fields, so theirs are cut from these
         m = profile.m
         for size in range(1, m + 1):
             for codes in combinations(range(m), size):  # the fields, by candidate code

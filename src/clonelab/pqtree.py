@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, _derive, block_name
+from .profiles import Profile, _codes, _derive, block_name
 
 __all__ = [
     "PQNode",
@@ -80,9 +80,9 @@ def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
     member per block (:func:`clonelab.profiles._derive`), the blocks in the
     order voter 1 ranks them, and its margins are those of the members.
     """
-    core = profile._core
-    name_of = {core.index[next(iter(child.members))]: child.name for child in children}
-    keep = [c for c in core.ballots[0] if c in name_of]  # voter 1's order of the blocks
+    code_of = _codes(profile.candidates)
+    name_of = {code_of[next(iter(child.members))]: child.name for child in children}
+    keep = [c for c in profile._core.ballots[0] if c in name_of]  # voter 1's order of the blocks
     return _derive(profile, keep, tuple(map(name_of.__getitem__, keep)))
 
 
@@ -91,6 +91,7 @@ def build_pqtree(profile: Profile) -> PQNode:
     """Build the tree of strong clone sets with P/Q labels and orientations."""
     first, table, positions = _clone_intervals(profile)
     core = profile._core
+    codes = core.ballots[0]  # codes[i] is the code of first[i]
     n = sum(core.weights)
 
     def build(i: int, j: int) -> PQNode:
@@ -100,7 +101,7 @@ def build_pqtree(profile: Profile) -> PQNode:
         cuts = [c for c in range(i + 1, j) if table[i][c] and table[c][j]]
         if cuts:
             bounds = [i, *cuts, j]
-            head, second = core.index[first[i]], core.index[first[cuts[0]]]
+            head, second = codes[i], codes[cuts[0]]
             forward = (n + core.rows[head][second]) // 2  # voters with head above second
             backward = n - forward
             return PQNode(

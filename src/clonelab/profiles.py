@@ -8,13 +8,15 @@ after any of the transformations here: none of them merge or reorder groups.
 
 Under the public groups each profile keeps a private integer core, built on
 first use (at derivation for a derived profile, below) and then kept with
-the profile (it takes no part in equality, hashing or repr).  It codes each candidate by its place in ``candidates``,
-holds the distinct rankings as code sequences with their voter counts, in
-order of first appearance (voter 1's ranking first), and the margin rows
-every pairwise rule reads.  The rows come from a packed-integer kernel: with
-a field of ``w = n.bit_length() + 1`` bits per candidate, each distinct
-ranking is walked bottom to top, adding the weighted sum of the fields of
-the candidates already passed to the row of the current one, so one big-int
+the profile (it takes no part in equality, hashing or repr).  It holds no
+names, coding each candidate by its place in ``candidates`` (names become
+codes where they come in, by :func:`_codes`), and holds the distinct
+rankings as code sequences with their voter counts, in order of first
+appearance (voter 1's ranking first), and the margin rows every pairwise
+rule reads.  The rows come from a packed-integer kernel: with a field of
+``w = n.bit_length() + 1`` bits per candidate, each distinct ranking is
+walked bottom to top, adding the weighted sum of the fields of the
+candidates already passed to the row of the current one, so one big-int
 addition per ballot position counts a candidate's wins over everyone below
 it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
@@ -26,9 +28,9 @@ rankings is cut down to the kept codes (one representative per block for a
 summary) and renumbered, equal results merge with their weights summed, and
 the group slots are remapped.  That is the derived profile's core, and its
 public groups are named from it, one name tuple per distinct cut ranking,
-every group keeping its multiplicity and place.  Its margin rows are read on
-first use as the submatrix of the base's rows (or of the rows the base's own
-are read off), and counted afresh when the base had no rows at derivation.
+every group keeping its multiplicity and place.  Its margin rows are the
+submatrix of the base's, cut at derivation when the base has them, and are
+otherwise counted on first read: a derivation never counts the base's.
 
 The text format accepted by :func:`parse_profile`::
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Ranking = tuple[str, ...]
@@ -157,6 +160,11 @@ def _derived(
     return profile
 
 
+def _codes(candidates: Iterable[str]) -> dict[str, int]:
+    """Candidate name -> code, its place in ``candidates``."""
+    return {c: k for k, c in enumerate(candidates)}
+
+
 def _tally(pairs: Iterable[tuple]) -> tuple[tuple, tuple[int, ...], list[int]]:
     """The distinct keys of ``(key, weight)`` pairs in order of first
     appearance, the summed weight of each, and the key index of each pair."""
@@ -183,7 +191,7 @@ def _derive(profile: Profile, keep: Sequence[int], names: tuple[str, ...]) -> Pr
     base = profile._core
     if isinstance(base.ballots[0], bytes):
         table = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
-        drop = bytes(set(range(len(base.index))).difference(keep))
+        drop = bytes(set(range(len(base.ballots[0]))).difference(keep))
         cut = [ballot.translate(table, drop) for ballot in base.ballots]
     else:
         code = bytes if len(keep) <= 256 else tuple
@@ -192,62 +200,50 @@ def _derive(profile: Profile, keep: Sequence[int], names: tuple[str, ...]) -> Pr
     core = _Core.__new__(_Core)
     core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
     core.slots = tuple(map(moved.__getitem__, base.slots))
-    core.index = {c: k for k, c in enumerate(names)}
-    core._rows = None
-    if base._rows is not None:
-        core._sub = (base._rows, keep)
-    elif base._sub is not None:
-        rows, codes = base._sub
-        core._sub = (rows, [codes[k] for k in keep])
+    if base._rows is None:
+        core._rows = None
+    elif len(keep) == 1:
+        core._rows = ((0,),)  # itemgetter of one key returns the item, not a tuple
     else:
-        core._sub = None
+        pick = itemgetter(*keep)
+        core._rows = tuple(map(pick, pick(base._rows)))
     named = [tuple(map(names.__getitem__, ballot)) for ballot in core.ballots]
     groups = tuple((named[slot], mult) for slot, (_, mult) in zip(core.slots, profile.groups))
     return _derived(names, groups, core)
 
 
 class _Core:
-    """A profile's rankings in integer codes (see the module docstring).
+    """A profile's rankings in candidate codes (see the module docstring).
 
     Attributes:
-        index: candidate name -> code, its place in ``candidates``.
         ballots: the distinct rankings as code sequences, top first, in order
             of first appearance, so ``ballots[0]`` is voter 1's.
         weights: the number of voters holding each distinct ranking.
         slots: for each public group, the index of its ranking in ``ballots``.
 
-    The margin rows are computed, or read off a base's (``_sub``, set by
-    :func:`_derive`), on first use and kept.
+    The margin rows are set by :func:`_derive` when it can cut them from a
+    base's, and are otherwise counted on first read and kept.
     """
 
-    __slots__ = ("index", "ballots", "weights", "slots", "_rows", "_sub")
+    __slots__ = ("ballots", "weights", "slots", "_rows")
 
     def __init__(self, profile: Profile) -> None:
         rankings, self.weights, slots = _tally(profile.groups)
-        index = {c: k for k, c in enumerate(profile.candidates)}
-        code = bytes if len(index) <= 256 else tuple
-        self.index = index
-        self.ballots = tuple(code(map(index.__getitem__, ranking)) for ranking in rankings)
+        code_of = _codes(profile.candidates)
+        code = bytes if len(code_of) <= 256 else tuple
+        self.ballots = tuple(code(map(code_of.__getitem__, ranking)) for ranking in rankings)
         self.slots = tuple(slots)
         self._rows: tuple[tuple[int, ...], ...] | None = None
-        self._sub: tuple | None = None  # (rows of a base, the codes kept from it), until read
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Margin rows: ``rows[a][b]`` is margin(a, b) by candidate code."""
         if self._rows is None:
-            if self._sub is None:
-                self._rows = self._margins()
-            else:
-                base_rows, keep = self._sub
-                self._rows = tuple(
-                    tuple(map(row.__getitem__, keep)) for row in map(base_rows.__getitem__, keep)
-                )
-                self._sub = None
+            self._rows = self._margins()
         return self._rows
 
     def _margins(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.index)
+        m = len(self.ballots[0])
         n = sum(self.weights)
         w = n.bit_length() + 1  # a field holds any count 0..n
         fields = [1 << (w * c) for c in range(m)]
@@ -436,10 +432,11 @@ def summarize(profile: Profile, decomposition: Iterable[frozenset[str]]) -> Prof
     if not all(blocks) or len(flat) != len(set(flat)) or set(flat) != set(profile.candidates):
         raise ValueError("blocks must partition the candidate set")
     core = profile._core
+    code_of = _codes(profile.candidates)
     owner = [0] * profile.m  # candidate code -> the number of its block
     for number, members in enumerate(blocks):
         for c in members:
-            owner[core.index[c]] = number
+            owner[code_of[c]] = number
     for ballot in core.ballots:
         run = 0  # positions left in the block currently being crossed
         for c in ballot:
@@ -533,5 +530,6 @@ class MajorityMatrix:
 
 def majority_matrix(profile: Profile) -> MajorityMatrix:
     """Every pairwise margin of the profile, computed once per profile."""
-    core = profile._core
-    return MajorityMatrix(candidates=profile.candidates, _rows=core.rows, _index=core.index)
+    return MajorityMatrix(
+        candidates=profile.candidates, _rows=profile._core.rows, _index=_codes(profile.candidates)
+    )

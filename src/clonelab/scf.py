@@ -279,11 +279,8 @@ def sigma_i(profile: Profile, i: int) -> tuple[frozenset[str], ...]:
 
 def _priority_pairs(profile: Profile, i: int) -> list[tuple[int, int]]:
     """:func:`priority_order` as pairs of candidate codes."""
-    core = profile._core
-    rows = core.rows
-    pos = [0] * len(rows)  # code -> place on voter i's ballot
-    for k, c in enumerate(profile.voter_ranking(i)):
-        pos[core.index[c]] = k
+    rows = profile._core.rows
+    pos = _voter_seats(profile, i)  # code -> place on voter i's ballot
 
     def key(ab: tuple[int, int]) -> tuple[int, int, int, int]:
         a, b = ab

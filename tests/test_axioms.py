@@ -228,6 +228,39 @@ def test_ioc_spf(fixtures):
     assert check_ioc_spf(resolve_spf("bp*"), fixtures["P8"]).holds is True
 
 
+def test_ioc_checks_remove_each_candidate_once():
+    """On a string profile every interval is a clone set, so the clone sets
+    nest; each check still calls the rule once on the profile and once per
+    removed candidate."""
+    p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
+    for check, rule in ((check_ioc, resolve_rule("pv")), (check_ioc_spf, resolve_spf("stv*"))):
+        calls = []
+
+        def counted(profile, rule=rule):
+            calls.append(profile.candidates)
+            return rule(profile)
+
+        assert check(counted, p).holds is True
+        assert len(calls) == len(set(calls)) == 7, check
+
+
+def test_plain_checks_compute_no_clone_structure(fixtures, monkeypatch):
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return clone_structure(profile)
+
+    monkeypatch.setattr("clonelab.axioms.clone_structure", counted)
+    rule, p = resolve_rule("pv"), fixtures["P6"]
+    for check in (check_monotonicity_ca, check_participation_ca, check_isda_ca):
+        check(rule, p, clone_aware=False)
+        assert calls == [], check
+        check(rule, p)
+        assert calls, check
+        calls.clear()
+
+
 def test_cc_spf(fixtures):
     p8 = fixtures["P8"]
     v = check_cc_spf(resolve_spf("bp*"), p8)

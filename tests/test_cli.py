@@ -144,6 +144,10 @@ def test_usage_errors(capsys, profile_path):
     # indecisive rule in a candidacy game is a usage problem
     assert run(capsys, "candidacy", profile_path("P5"), "--rule", "pv",
                "--form", "gamma")[0] == 64
+    # an unknown candidate is reported before the game is built
+    code, _, err = run(capsys, "candidacy", profile_path("P5"), "--rule", "pv",
+                       "--form", "gamma", "--candidate", "zz")
+    assert code == 64 and "'zz'" in err
 
 
 def test_argparse_errors_use_usage_code(capsys, profile_path):

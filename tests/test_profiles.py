@@ -313,28 +313,48 @@ def test_voter_indices_survive_repeated_rankings_in_separate_groups():
 
 
 def _core_fields(core):
-    return core.index, core.ballots, core.weights, core.slots, core.rows
+    return core.ballots, core.weights, core.slots, core.rows
+
+
+def _derived_checking_rows(base, derive, *args):
+    """``derive(base, *args)``, checking that the derived core has margin rows
+    exactly when base had them at derivation, and that base gains none."""
+    rows = base._core._rows
+    q = derive(base, *args)
+    assert base._core._rows is rows
+    assert (q._core._rows is None) == (rows is None)
+    return q
 
 
 def _assert_derived_cores_match_rebuilt(p):
     """Every restriction, single removal and node summary of p, derived
     before and after p's margin rows exist, has the core a profile rebuilt
-    from its public groups would have."""
+    from its public groups would have, rows included when they were cut at
+    derivation."""
     for rows_first in (False, True):
         base = Profile(p.candidates, p.groups)  # a fresh core, rows not counted yet
         if rows_first:
             base._core.rows
-        removals = [remove_candidates(base, {c}) for c in base.candidates[: base.m - 1]]
-        # removals of removals, derived before their middle has a core ...
-        derived = [remove_candidates(q, {q.candidates[-1]}) for q in removals if q.m > 1]
+        removals = [
+            _derived_checking_rows(base, remove_candidates, {c})
+            for c in base.candidates[: base.m - 1]
+        ]
+        # removals of removals, derived before their middle's rows are read ...
+        derived = [
+            _derived_checking_rows(q, remove_candidates, {q.candidates[-1]})
+            for q in removals if q.m > 1
+        ]
         for q in removals:
-            q._core  # ... and after it has one, with its margin rows unread
-        derived += [remove_candidates(q, {q.candidates[0]}) for q in removals if q.m > 1]
+            q._core.rows  # ... and after
+        derived += [
+            _derived_checking_rows(q, remove_candidates, {q.candidates[0]})
+            for q in removals if q.m > 1
+        ]
         derived += removals
-        derived += [restrict(base, keep) for k in range(1, base.m + 1)
+        derived += [_derived_checking_rows(base, restrict, keep) for k in range(1, base.m + 1)
                     for keep in combinations(base.candidates, k)]
         nodes = internal_nodes(build_pqtree(base))
-        derived += [_child_summary(base, node.children) for node in nodes]
+        derived += [_derived_checking_rows(base, _child_summary, node.children) for node in nodes]
         for q in derived:
             want = _core_fields(_Core(Profile(q.candidates, q.groups)))
             assert _core_fields(q._core) == want, (p, q)
@@ -395,11 +415,11 @@ def test_derived_cores_past_one_byte_codes():
         if rows_first:
             base._core.rows
         derived = [
-            remove_candidates(base, {cands[5]}),
-            restrict(base, cands),
-            restrict(base, ranking[::37]),
-            remove_candidates(base, ranking[:3]),
-            _child_summary(base, tree.children),
+            _derived_checking_rows(base, remove_candidates, {cands[5]}),
+            _derived_checking_rows(base, restrict, cands),
+            _derived_checking_rows(base, restrict, ranking[::37]),
+            _derived_checking_rows(base, remove_candidates, ranking[:3]),
+            _derived_checking_rows(base, _child_summary, tree.children),
         ]
         for q in derived:
             assert _core_fields(q._core) == _core_fields(_Core(Profile(q.candidates, q.groups)))
