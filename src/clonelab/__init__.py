@@ -1,99 +1,21 @@
 """Clone-aware voting: clone structures, PQ-trees, composition-consistent
 rules, axiom verification, and strategic-candidacy games."""
 
-from .axioms import (
-    AxiomVerdict,
-    check_cc,
-    check_cc_spf,
-    check_condorcet,
-    check_ioc,
-    check_ioc_spf,
-    check_isda_ca,
-    check_monotonicity_ca,
-    check_participation_ca,
-    check_smith,
-)
-from .clones import (
-    EnumerationCapExceeded,
-    clone_metric,
-    clone_structure,
-    enumerate_decompositions,
-    is_clone_set,
-)
-from .games import (
-    DROP,
-    RUN,
-    GameSpec,
-    IndecisiveRuleError,
-    PlayResult,
-    gamma_dominant_run,
-    gamma_obviously_dominant_run,
-    lambda_obviously_dominant_run,
-    lambda_play,
-    utility,
-)
-from .profiles import (
-    MajorityMatrix,
-    Profile,
-    ProfileParseError,
-    add_voter,
-    load_fixture,
-    majority_matrix,
-    parse_profile,
-    remove_candidates,
-    replace_voter,
-    restrict,
-    reverse_profile,
-    serialize_profile,
-    summarize,
-)
-from .pqtree import (
-    PQNode,
-    build_pqtree,
-    clone_sets_from_tree,
-    decomp,
-    decomposition_degree,
-    ordered_child,
-    serialize_tree,
-)
-from .scf import (
-    StrengthMatrix,
-    alt_smith,
-    beatpath,
-    condorcet_winner,
-    pv,
-    rp_i,
-    rp_i_ranking,
-    rp_n,
-    rp_put,
-    rp_put_rankings,
-    schwartz,
-    sigma_i,
-    priority_order,
-    smith,
-    split_cycle,
-    strength_matrix,
-    stv,
-    stv_i,
-    stv_i_ranking,
-    uc_fishburn,
-    uc_gillies,
-)
-from .spf import (
-    bp_star,
-    neg,
-    nnr_i_star,
-    nr_i_star,
-    nr_star,
-    resolve_spf,
-    rp_i_star,
-    rp_n_star,
-    rp_star,
-    spf_to_scf,
-    stv_i_star,
-    stv_star,
-    substitute,
-)
-from .transform import RULE_IDS, cc_transform, composition_product, resolve_rule
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# in dependency order: each module imports only modules before it
+_MODULES = ("profiles", "clones", "pqtree", "scf", "spf", "transform", "games", "axioms")
+
+
+def __getattr__(name: str):
+    """A submodule, or a name from a submodule's ``__all__``, imported on first use (PEP 562)."""
+    if name in _MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [*_MODULES, *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

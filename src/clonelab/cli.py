@@ -72,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _cap(text: str) -> int:
+    """An enumeration cap: a positive integer."""
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, got {cap}")
+    return cap
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clonelab", description="clone-aware voting toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -91,7 +99,7 @@ def _build_parser() -> _Parser:
 
     p = add("rank", "run a ranking rule")
     p.add_argument("--rule", required=True, help=f"ranking rule id, e.g. {', '.join(SPF_IDS)}")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap for bp*")
+    p.add_argument("--cap", type=_cap, default=None, help="enumeration cap (bp* only)")
 
     p = add("cc-transform", "run the clone-collapsing transform of a rule")
     p.add_argument("--rule", required=True, help="base rule id")
@@ -101,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--axiom", required=True, choices=sorted(_AXIOMS), metavar="axiom",
                    help=", ".join(sorted(_AXIOMS)))
     p.add_argument("--rule", required=True, help="rule id (ranking rule id for *_spf axioms)")
-    p.add_argument("--cap", type=int, default=10**6, help="decomposition enumeration cap")
+    p.add_argument("--cap", type=_cap, default=10**6, help="decomposition enumeration cap")
 
     p = add("candidacy", "analyse Run/Drop incentives of every candidate")
     p.add_argument("--rule", required=True, help="decisive rule id (e.g. rp_i:1, stv_i:1)")
@@ -157,7 +165,9 @@ def _cmd_winners(args) -> int:
 def _cmd_rank(args) -> int:
     profile = _load(args.profile)
     fn = resolve_spf(args.rule)
-    if args.cap is not None and args.rule.strip() == "bp*":
+    if args.cap is not None:
+        if args.rule.strip() != "bp*":
+            raise ValueError(f"--cap applies only to bp*, not {args.rule!r}")
         fn = partial(bp_star, cap=args.cap)
     rankings = sorted(">".join(r) for r in fn(profile))
     _emit({"rankings": rankings}, args.json, rankings)

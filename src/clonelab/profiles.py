@@ -91,6 +91,10 @@ class Profile:
             raise ProfileParseError("profile has no candidates")
         if len(set(self.candidates)) != len(self.candidates):
             raise ProfileParseError("duplicate candidate in candidate list")
+        if any("+" in c for c in self.candidates):
+            parts = [part for c in self.candidates for part in c.split("+")]
+            if len(parts) != len(set(parts)):  # two blocks would share a block_name
+                raise ProfileParseError("candidate names repeat a '+'-separated part")
         if not self.groups:
             raise ProfileParseError("profile has no ballots")
         cset = set(self.candidates)
@@ -351,7 +355,17 @@ def parse_profile(text: str) -> Profile:
 
 
 def serialize_profile(profile: Profile) -> str:
-    """Render a profile in the text format; ``parse_profile`` inverts this."""
+    """Render a profile in the text format; ``parse_profile`` inverts this.
+
+    Raises:
+        ValueError: for a candidate name that would not read back as itself:
+            empty, padded with whitespace, or holding ``,``, ``>``, ``#`` or
+            a line break.  A name with ``+`` is written, and the parser
+            rejects it.
+    """
+    for c in profile.candidates:
+        if c.splitlines() != [c] or c != c.strip() or any(ch in c for ch in ",>#"):
+            raise ValueError(f"candidate {c!r} cannot be written in the text format")
     lines = ["candidates: " + ",".join(profile.candidates)]
     for ranking, mult in profile.groups:
         lines.append(f"{mult}: " + ">".join(ranking))

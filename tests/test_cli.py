@@ -148,6 +148,15 @@ def test_usage_errors(capsys, profile_path):
     code, _, err = run(capsys, "candidacy", profile_path("P5"), "--rule", "pv",
                        "--form", "gamma", "--candidate", "zz")
     assert code == 64 and "'zz'" in err
+    # --cap applies only to bp*, and only as a positive count
+    code, out, err = run(capsys, "rank", profile_path("P5"), "--rule", "stv*", "--cap", "1")
+    assert code == 64 and out == "" and "bp*" in err
+    for argv in (["rank", path, "--rule", "bp*", "--cap", "0"],
+                 ["check", profile_path("P2"), "--axiom", "cc", "--rule", "pv", "--cap", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+    capsys.readouterr()
 
 
 def test_argparse_errors_use_usage_code(capsys, profile_path):

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import brute_margins, brute_restrict, brute_summarize
 
@@ -111,6 +111,56 @@ def profiles_st(draw):
 @settings(max_examples=60)
 def test_serialize_parse_round_trip(p):
     assert parse_profile(serialize_profile(p)) == p
+
+
+@st.composite
+def named_profiles_st(draw):
+    """Profiles over arbitrary text names, '+' and line breaks included."""
+    cands = tuple(draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)))
+    groups = tuple(
+        (tuple(draw(st.permutations(cands))), draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    try:
+        return Profile(candidates=cands, groups=groups)
+    except ProfileParseError:  # names repeating a '+'-separated part
+        assume(False)
+
+
+def _one_ballot_over(*names):
+    return Profile(candidates=names, groups=((names, 1),))
+
+
+@given(named_profiles_st())
+@example(_one_ballot_over(" a", "b#c"))  # read back as ('a', 'b')
+@example(_one_ballot_over("a\x1c", "b,c", "d>e", ""))
+@example(_one_ballot_over("a+b", "c"))  # the parser refuses '+'
+@settings(max_examples=200)
+def test_serialize_never_writes_a_different_profile(p):
+    """Serializing either refuses, or the parser refuses loudly, or the
+    text reads back as the same profile."""
+    try:
+        text = serialize_profile(p)
+    except ValueError:
+        return
+    try:
+        back = parse_profile(text)
+    except ProfileParseError:
+        return
+    assert back == p
+
+
+def test_profile_rejects_names_that_repeat_a_block_part():
+    """Two disjoint blocks must never get one block_name: ``a+b`` beside
+    ``a`` and ``b`` would make the block {a, b} and the candidate {a+b}
+    one name in the PQ-tree and in summaries."""
+    ranking = ("a", "b", "a+b", "c")
+    with pytest.raises(ProfileParseError, match="'\\+'-separated part"):
+        Profile(ranking, ((ranking, 1), (("a+b", "a", "b", "c"), 1)))
+    with pytest.raises(ProfileParseError):
+        Profile(("a", "a+c"), ((("a", "a+c"), 1),))
+    p = Profile(("a+b", "c"), ((("a+b", "c"), 1),))  # block names alone are fine
+    assert summarize(p, [{"a+b", "c"}]).candidates == ("a+b+c",)
 
 
 def test_remove_candidates_keeps_groups_distinct():
