@@ -48,19 +48,19 @@ EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_PARSE = 65
 
-_AXIOMS = {
-    "ioc": ("scf", lambda rule, p, cap: check_ioc(rule, p)),
-    "cc": ("scf", lambda rule, p, cap: check_cc(rule, p, cap=cap)),
-    "condorcet": ("scf", lambda rule, p, cap: check_condorcet(rule, p)),
-    "smith": ("scf", lambda rule, p, cap: check_smith(rule, p)),
-    "mono": ("scf", lambda rule, p, cap: check_monotonicity_ca(rule, p, clone_aware=False)),
-    "mono_ca": ("scf", lambda rule, p, cap: check_monotonicity_ca(rule, p)),
-    "isda": ("scf", lambda rule, p, cap: check_isda_ca(rule, p, clone_aware=False)),
-    "isda_ca": ("scf", lambda rule, p, cap: check_isda_ca(rule, p)),
-    "part": ("scf", lambda rule, p, cap: check_participation_ca(rule, p, clone_aware=False)),
-    "part_ca": ("scf", lambda rule, p, cap: check_participation_ca(rule, p)),
-    "ioc_spf": ("spf", lambda rule, p, cap: check_ioc_spf(rule, p)),
-    "cc_spf": ("spf", lambda rule, p, cap: check_cc_spf(rule, p, cap=cap)),
+_AXIOMS = {  # axiom -> (rule kind, check); only cc and cc_spf take a cap
+    "ioc": ("scf", check_ioc),
+    "cc": ("scf", check_cc),
+    "condorcet": ("scf", check_condorcet),
+    "smith": ("scf", check_smith),
+    "mono": ("scf", partial(check_monotonicity_ca, clone_aware=False)),
+    "mono_ca": ("scf", check_monotonicity_ca),
+    "isda": ("scf", partial(check_isda_ca, clone_aware=False)),
+    "isda_ca": ("scf", check_isda_ca),
+    "part": ("scf", partial(check_participation_ca, clone_aware=False)),
+    "part_ca": ("scf", check_participation_ca),
+    "ioc_spf": ("spf", check_ioc_spf),
+    "cc_spf": ("spf", check_cc_spf),
 }
 
 
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--axiom", required=True, choices=sorted(_AXIOMS), metavar="axiom",
                    help=", ".join(sorted(_AXIOMS)))
     p.add_argument("--rule", required=True, help="rule id (ranking rule id for *_spf axioms)")
-    p.add_argument("--cap", type=_cap, default=10**6, help="decomposition enumeration cap")
+    p.add_argument("--cap", type=_cap, default=None, help="enumeration cap (cc, cc_spf only)")
 
     p = add("candidacy", "analyse Run/Drop incentives of every candidate")
     p.add_argument("--rule", required=True, help="decisive rule id (e.g. rp_i:1, stv_i:1)")
@@ -194,10 +194,12 @@ def _cmd_cc_transform(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.cap is not None and args.axiom not in ("cc", "cc_spf"):
+        raise ValueError(f"--cap applies only to cc and cc_spf, not {args.axiom!r}")
     profile = _load(args.profile)
-    kind, runner = _AXIOMS[args.axiom]
+    kind, check = _AXIOMS[args.axiom]
     rule = resolve_spf(args.rule) if kind == "spf" else resolve_rule(args.rule)
-    verdict = runner(rule, profile, args.cap)
+    verdict = check(rule, profile) if args.cap is None else check(rule, profile, cap=args.cap)
     payload = {
         "axiom": verdict.axiom,
         "holds": verdict.holds,

@@ -19,12 +19,14 @@ Two game forms share these utilities:
   A block whose members have all dropped is removed and its parent decides
   again among the remaining blocks.
 
-Rules must be decisive (a single winner on every non-empty restriction);
-this is enforced when the game is built.  The winners found then are kept on
-the game, with the profile's PQ-tree and clone distances, so a game costs
-2^m − 1 rule calls to build, the one-shot form makes no further call, and the
-staged form adds one call per distinct node decision: each play and each
-decision is recorded on the game the first time it is made.
+Rules must be decisive (a single winner on every non-empty restriction),
+which is enforced when the game is built, and neutral in listing order (the
+winners may not depend on the order of ``profile.candidates``).  One table on
+the game keeps every winner, keyed by the names the rule was shown, so a game
+costs 2^m − 1 rule calls to build and the one-shot form makes no further
+call.  A staged decision among single candidates is a field and reads its
+winner; the staged form adds one call per distinct set of shown blocks that
+holds a merged block.  Plays, the PQ-tree and clone distances are kept too.
 
 Cost model.  Building a game builds the profile's core and margin rows once.
 Each field, and each block summary a staged decision shows the rule, is cut
@@ -105,12 +107,10 @@ class GameSpec:
     profile: Profile
     rule: str | Callable
     form: str = "gamma"
-    _winners: dict[frozenset[str], str] = _record()  # field -> winner
+    _winners: dict[frozenset[str], str] = _record()  # names shown to the rule -> winner
     _distance: dict[tuple[str, str], int] = _record()  # (a, b) -> clone distance
     _tree: PQNode = field(init=False, repr=False, compare=False)  # the profile's PQ-tree
     _plays: dict[frozenset[str], PlayResult] = _record()  # runners -> staged play
-    # (node members, names of the blocks shown to the rule) -> chosen block
-    _decisions: dict[tuple[frozenset[str], frozenset[str]], str] = _record()
 
     def __post_init__(self) -> None:
         if self.form not in ("gamma", "lambda"):
@@ -263,14 +263,14 @@ def _play(game: GameSpec, runners: frozenset[str]) -> PlayResult:
         return c in runners
 
     def decide(node: PQNode, shown: frozenset[str]) -> str:
-        """The rule's pick among the named child blocks of ``node``."""
-        key = (node.members, shown)
-        block = game._decisions.get(key)
-        if block is None:
+        """The rule's pick among the named child blocks of ``node``.  Shown only
+        leaves, that is the field of those candidates, elected at construction;
+        a merged block's name is never a candidate's, so no other key collides."""
+        winners = game._winners
+        if shown not in winners:
             packed = _child_summary(profile, [ch for ch in node.children if ch.name in shown])
-            block = _single_winner(f, packed, lambda: f"blocks of {sorted(node.members)}")
-            game._decisions[key] = block
-        return block
+            winners[shown] = _single_winner(f, packed, lambda: f"blocks of {sorted(node.members)}")
+        return winners[shown]
 
     def process(node: PQNode) -> str | None:
         if node.is_leaf:  # degenerate one-candidate game

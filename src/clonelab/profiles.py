@@ -346,12 +346,7 @@ def parse_profile(text: str) -> Profile:
     if not raw_groups:
         raise ProfileParseError("no ballots found")
     candidates = header if header is not None else raw_groups[0][0]
-    try:
-        return Profile(candidates=candidates, groups=tuple(raw_groups))
-    except ProfileParseError:
-        raise
-    except ValueError as exc:  # defensive: dataclass machinery
-        raise ProfileParseError(str(exc)) from exc
+    return Profile(candidates=candidates, groups=tuple(raw_groups))
 
 
 def serialize_profile(profile: Profile) -> str:

@@ -11,10 +11,10 @@ places are the core's ballots read backwards, and no profile is built per
 round.  ``nr`` keeps one memo of the reversed profile's STV winners per
 call, since they depend only on the running set.
 
-The two ballot surgeries used by the composition and independence checks
-live here too: ``neg`` collapses a candidate block to a fresh name placed
-where the block's best member sat, and ``substitute`` splices a ranking of
-clones into the seat of their meta-candidate.
+Two ballot surgeries live here too: ``neg`` collapses a candidate block to a
+fresh name placed where the block's best member sat (for the ranking-level
+independence check), and ``substitute`` splices a ranking of clones into the
+seat of their meta-candidate; the composition check splices with ``chain``.
 """
 
 from __future__ import annotations

@@ -226,6 +226,15 @@ def test_ioc_spf(fixtures):
     for sid in ("rp_i:1*", "stv*", "bp*"):
         assert check_ioc_spf(resolve_spf(sid), fixtures["P2"]).holds is True
     assert check_ioc_spf(resolve_spf("bp*"), fixtures["P8"]).holds is True
+    # z is a candidate, so the collapsed block gets the fresh name z0
+    p = parse_profile("candidates: a,b,c,d,z\n1: a>z>b>d>c\n1: c>a>z>d>b\n1: d>b>c>z>a\n")
+    verdict = check_ioc_spf(resolve_spf("rp*"), p)
+    assert verdict.holds is False
+    w = verdict.witness
+    assert (w["clone_set"], w["removed"]) == (["a", "z"], "a")
+    assert len(w["collapsed"]) == 7 and len(w["collapsed_without"]) == 5
+    assert all("z0" in r.split(">") for r in w["collapsed"] + w["collapsed_without"])
+    assert set(w["collapsed_without"]) < set(w["collapsed"])
 
 
 def test_ioc_checks_remove_each_candidate_once():

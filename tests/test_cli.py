@@ -99,6 +99,10 @@ def test_check_pass_fail_and_inconclusive(capsys, profile_path, tmp_path):
                        "--rule", "pv^cc", "--cap", "3")
     assert code == 2
     assert out.splitlines()[0] == "inconclusive"
+    code, out, _ = run(capsys, "check", str(string5), "--axiom", "cc_spf",
+                       "--rule", "stv*", "--cap", "3")
+    assert code == 2
+    assert out.splitlines()[0] == "inconclusive"
 
 
 def test_check_json_witness(capsys, profile_path):
@@ -151,6 +155,11 @@ def test_usage_errors(capsys, profile_path):
     # --cap applies only to bp*, and only as a positive count
     code, out, err = run(capsys, "rank", profile_path("P5"), "--rule", "stv*", "--cap", "1")
     assert code == 64 and out == "" and "bp*" in err
+    # check --cap applies only to the axioms that enumerate decompositions
+    for axiom in ("mono", "ioc"):
+        code, out, err = run(capsys, "check", profile_path("P2"), "--axiom", axiom,
+                             "--rule", "pv", "--cap", "1")
+        assert code == 64 and out == "" and repr(axiom) in err
     for argv in (["rank", path, "--rule", "bp*", "--cap", "0"],
                  ["check", profile_path("P2"), "--axiom", "cc", "--rule", "pv", "--cap", "-5"]):
         with pytest.raises(SystemExit) as exc:

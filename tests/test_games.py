@@ -17,8 +17,8 @@ from clonelab.games import (
     lambda_play,
     utility,
 )
-from clonelab.profiles import restrict
-from clonelab.transform import cc_transform, resolve_rule
+from clonelab.profiles import Profile, restrict
+from clonelab.transform import RULE_IDS, cc_transform, resolve_rule
 
 from conftest import build_game_profiles
 from oracles import brute_game_verdicts
@@ -182,25 +182,60 @@ def test_games_match_unmemoized_oracle(corpus, fixtures):
 
 
 def test_games_call_the_rule_once_per_field_and_decision(fixtures):
-    p2 = fixtures["P2"]
-    base = resolve_rule("rp_i:1")
     calls = []
 
-    def counted(profile):
-        calls.append(profile)
-        return base(profile)
+    def counting(rid):
+        base = resolve_rule(rid)
 
-    game = GameSpec(profile=p2, rule=counted, form="gamma")
+        def counted(profile):
+            calls.append(profile)
+            return base(profile)
+
+        return counted
+
+    p2 = fixtures["P2"]
+    game = GameSpec(profile=p2, rule=counting("rp_i:1"), form="gamma")
     assert len(calls) == 2**p2.m - 1 == 15
     for a in p2.candidates:
         gamma_dominant_run(game, a)
         gamma_obviously_dominant_run(game, a)
     assert len(calls) == 15  # every field was elected while building the game
 
-    staged = GameSpec(profile=p2, rule=counted, form="lambda")
-    built = len(calls)
-    first = [lambda_obviously_dominant_run(staged, a) for a in p2.candidates]
-    decisions = calls[built:]
-    assert decisions and len(set(decisions)) == len(decisions)  # no node decided twice
-    assert [lambda_obviously_dominant_run(staged, a) for a in p2.candidates] == first
-    assert len(calls) == built + len(decisions)
+    # A staged decision among single candidates is a field, elected while the
+    # game was built; only block summaries holding a merged block call the
+    # rule again.  P7's tree has no merged block, P2's has a1+a2.
+    for rid in ("rp_i:1", "stv_i:1"):
+        for p, merged in ((fixtures["P7"], 0), (p2, 4)):
+            calls.clear()
+            staged = GameSpec(profile=p, rule=counting(rid), form="lambda")
+            built = len(calls)
+            assert built == 2**p.m - 1
+            first = [lambda_obviously_dominant_run(staged, a) for a in p.candidates]
+            decisions = calls[built:]
+            assert len(set(decisions)) == len(decisions) == merged, (rid, p)  # none decided twice
+            assert all("a1+a2" in shown.candidates for shown in decisions)
+            assert [lambda_obviously_dominant_run(staged, a) for a in p.candidates] == first
+            assert len(calls) == built + merged
+
+
+def _rule_ids(n):
+    """Every registered rule id and its ^cc form, indexed ids at voters 1
+    and 2 (voter 2 only where there is one)."""
+    for rid in RULE_IDS:
+        for plain in [rid.replace("<i>", str(i)) for i in (1, 2)[:n]] if "<i>" in rid else [rid]:
+            yield plain
+            yield f"{plain}^cc"
+
+
+def test_rules_are_neutral_in_listing_order(corpus, fixtures):
+    """The staged game reads a decision among single candidates from the
+    field with those names, whose candidates are listed in another order:
+    relisting the candidates, with the same ballots, changes no winner."""
+    rng = random.Random(14)
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus:
+        order = list(p.candidates)
+        rng.shuffle(order)
+        relisted = Profile(candidates=tuple(order), groups=p.groups)
+        for rid in _rule_ids(p.n):
+            f = resolve_rule(rid)
+            assert f(relisted) == f(p), (rid, p, order)

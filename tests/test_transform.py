@@ -3,8 +3,8 @@
 import pytest
 
 from clonelab.clones import clone_structure
-from clonelab.profiles import add_voter, load_fixture, remove_candidates
-from clonelab.pqtree import build_pqtree, internal_nodes
+from clonelab.profiles import add_voter, load_fixture, parse_profile, remove_candidates
+from clonelab.pqtree import build_pqtree, internal_nodes, serialize_tree
 from clonelab.scf import pv, rp_i, stv, uc_gillies
 from clonelab.transform import (
     RULE_IDS,
@@ -115,6 +115,22 @@ def test_trace_p2(fixtures):
     assert trace[0]["selected"] == ["a1+a2"]  # winning block, by name
     assert trace[1]["node"] == ["a1", "a2"]
     assert trace[1]["selected"] == ["a2"]
+
+
+def test_q_node_second_block_walks_to_the_far_end():
+    """On a tied string the rule orients the Q node by its first two blocks;
+    picking the second sends the walk to the far end of the string."""
+    p = parse_profile("1: a>b>c\n1: c>b>a\n")
+    assert serialize_tree(build_pqtree(p)) == "a⊕b⊕c"
+    trace = []
+    assert cc_transform("rp_i:2", p, trace=trace) == {"c"}
+    assert [(rec["kind"], rec["blocks"], rec["selected"]) for rec in trace] == [
+        ("Q", ["a", "b"], ["b"])
+    ]
+    assert resolve_rule("rp_i:2^cc")(p) == {"c"}
+    assert resolve_rule("rp_i:1^cc")(p) == {"a"}
+    assert resolve_rule("pv^cc")(p) == {"a", "b", "c"}  # a tie descends into every block
+    assert resolve_rule("rp_i:2^cc")(parse_profile("1: a>b>c>d\n1: d>c>b>a\n")) == {"d"}
 
 
 def test_clone_independent_rules_are_fixed_points(corpus):
