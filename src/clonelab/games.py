@@ -20,38 +20,44 @@ Two game forms share these utilities:
   again among the remaining blocks.
 
 Rules must be decisive (a single winner on every non-empty restriction),
-which is enforced when the game is built, and neutral in listing order (the
-winners may not depend on the order of ``profile.candidates``).  One table on
-the game keeps every winner, keyed by the names the rule was shown, so a game
-costs 2^m − 1 rule calls to build and the one-shot form makes no further
-call.  A staged decision among single candidates is a field and reads its
-winner; the staged form adds one call per distinct set of shown blocks that
-holds a merged block.  Plays, the PQ-tree and clone distances are kept too.
+which is enforced when the game is built, and neutral: the winners may not
+depend on the candidates' names, nor on the order ``profile.candidates``
+lists them.  Every block a staged decision shows is a clone set of the
+profile, consecutive on every ballot, so the block summary is the field of
+one representative per block with those candidates renamed to their blocks:
+the same ballots, voters and ties.  A neutral rule therefore picks the block
+whose representative wins that field, and the staged form reads every
+decision from the one-shot table.
 
-Cost model.  Building a game builds the profile's core and margin rows once.
-Each field, and each block summary a staged decision shows the rule, is cut
-from that core with no name checks (:func:`clonelab.profiles._derive`): the
-profile's k distinct code rankings are cut down and merged, which gives the
-field its core and names its groups at once, and its margin rows are the
-submatrix of the profile's, cut then.  The rules that read margins are the
-pairwise ones, and a ``^cc`` rule wherever a field's tree has a Q node to
-orient; a plain ``stv_i`` game reads none, and the one count up front and
-the submatrices are all it wastes.  A field's PQ-tree, which a clone-aware
-rule builds, is still computed from the field's own rankings: removing
-candidates can create clone sets.  The clone distances come from one walk of the profile's
-tree, O(m²).  Verdicts read the kept winners and plays directly; only
-:func:`utility` and :func:`lambda_play` validate their arguments.
+Cost model.  Building a game elects its 2^m − 1 fields, each as a mask of
+candidate codes, into one table indexed by mask; after that neither form
+calls the rule again.  A registered rule runs its masked entry on the
+profile's own core (:mod:`clonelab.scf`), bound once per game, so voter i's
+seats, the majority digraphs and the elimination memo serve every field,
+and the margin rows are counted only where they are read (a plain
+``stv_i`` game reads them only to orient a Q node of the profile's tree).
+Any other callable, ``^cc`` rules included, is shown each field as a
+profile cut from the core with no name checks
+(:func:`clonelab.profiles._derive`), its margin rows cut from the
+profile's, counted once; a ``^cc`` rule then builds that field's own
+PQ-tree, since removing candidates can create clone sets.  The clone
+distances come from one walk of the profile's tree, O(m²), into a table of
+utilities by candidate code.  Plays are kept by the runners' mask.  Names
+appear only at the edges: :func:`utility`, :func:`lambda_play`,
+:class:`PlayResult` and the witnesses, and only :func:`utility` and
+:func:`lambda_play` validate their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
-from .profiles import Profile, _kept
-from .pqtree import PQNode, _child_summary, _clone_distances, _reading_order, build_pqtree
-from .transform import resolve_rule, rule_label
+from .profiles import Profile, _codes
+from .pqtree import PQNode, _clone_distances, _reading_order, build_pqtree
+from .scf import _bits
+from .transform import _Elector, rule_label
 
 __all__ = [
     "RUN",
@@ -74,20 +80,21 @@ class IndecisiveRuleError(ValueError):
     """The rule tied somewhere a single winner was required."""
 
 
-def _single_winner(f: Callable, profile: Profile, where: Callable[[], str]) -> str:
-    winners = f(profile)
-    if len(winners) != 1:
+def _single_winner(profile: Profile, field: int, won: int) -> int:
+    """The code of the one candidate in ``won``, the winners of ``field``."""
+    if not won or won & (won - 1):
+        cands = profile.candidates
         raise IndecisiveRuleError(
-            f"rule ties on {where()}: {sorted(winners)}; candidacy games need a decisive rule"
+            f"rule ties on candidates {[cands[c] for c in _bits(field)]}: "
+            f"{sorted(cands[c] for c in _bits(won))}; candidacy games need a decisive rule"
         )
-    (w,) = winners
-    return w
+    return won.bit_length() - 1
 
 
-def _record():
-    """A private per-game dict, left out of ``__init__``, repr, equality and
+def _record(factory: Callable = dict):
+    """A private per-game table, left out of ``__init__``, repr, equality and
     hashing, so it goes away with the game."""
-    return field(default_factory=dict, init=False, repr=False, compare=False)
+    return field(default_factory=factory, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -107,26 +114,37 @@ class GameSpec:
     profile: Profile
     rule: str | Callable
     form: str = "gamma"
-    _winners: dict[frozenset[str], str] = _record()  # names shown to the rule -> winner
-    _distance: dict[tuple[str, str], int] = _record()  # (a, b) -> clone distance
+    _winners: list[int] = _record(list)  # field mask -> winner's code; -1 at the empty field
+    _payoff: list[list[int]] = _record(list)  # [a][w]: a's utility when w wins; 0 at w = -1
+    _code: dict[str, int] = _record()  # tree node's name -> its representative's code
     _tree: PQNode = field(init=False, repr=False, compare=False)  # the profile's PQ-tree
-    _plays: dict[frozenset[str], PlayResult] = _record()  # runners -> staged play
+    _plays: dict[int, tuple[int, int]] = _record()  # runners' mask -> (winner's code, asked mask)
 
     def __post_init__(self) -> None:
         if self.form not in ("gamma", "lambda"):
             raise ValueError(f"unknown game form {self.form!r}")
-        f = resolve_rule(self.rule)
         profile = self.profile
-        profile._core.rows  # counted before the fields, so theirs are cut from these
         m = profile.m
+        elect = _Elector(self.rule, profile)
+        winners = self._winners
+        winners.extend([-1] * (1 << m))
         for size in range(1, m + 1):
             for codes in combinations(range(m), size):  # the fields, by candidate code
-                runners = _kept(profile, codes)
-                self._winners[frozenset(runners.candidates)] = _single_winner(
-                    f, runners, lambda: f"candidates {list(runners.candidates)}"
-                )
-        object.__setattr__(self, "_tree", build_pqtree(profile))
-        self._distance.update(_clone_distances(self._tree))
+                mask = sum(1 << c for c in codes)
+                winners[mask] = _single_winner(profile, mask, elect(mask))
+        tree = build_pqtree(profile)
+        object.__setattr__(self, "_tree", tree)
+        code_of = _codes(profile.candidates)
+        self._payoff.extend([0] * (m + 1) for _ in range(m))  # the extra last place: nobody
+        for (a, b), d in _clone_distances(tree).items():
+            self._payoff[code_of[a]][code_of[b]] = m - d
+
+        def index(node: PQNode) -> None:
+            self._code[node.name] = code_of[min(node.members)]  # a leaf's is its candidate's
+            for child in node.children:
+                index(child)
+
+        index(tree)
 
     @property
     def rule_name(self) -> str:
@@ -141,31 +159,36 @@ def utility(game: GameSpec, a: str, field: Iterable[str]) -> int:
     unknown = standing - set(game.profile.candidates)
     if unknown:
         raise ValueError(f"unknown candidate(s) {sorted(unknown)} in the field")
-    return _payoff(game, a, game._winners.get(standing))
+    code = game._code
+    return game._payoff[code[a]][game._winners[sum(1 << code[c] for c in standing)]]
 
 
-def _payoff(game: GameSpec, a: str, winner: str | None) -> int:
-    """Candidate a's utility when ``winner`` is elected (None: nobody)."""
-    if winner is None:
-        return 0
-    return game.profile.m - game._distance[a, winner]
+def _sorted_names(game: GameSpec, mask: int) -> list[str]:
+    """The names of the candidates in ``mask``, sorted."""
+    cands = game.profile.candidates
+    return sorted(cands[c] for c in _bits(mask))
 
 
-def _opponent_fields(game: GameSpec, a: str):
-    """All sets of other candidates, smallest first, then lexicographic."""
+def _others(game: GameSpec, a: str) -> tuple[int, list[str]]:
+    """a's code and the names of the other candidates, sorted."""
     if a not in game.profile.candidates:
         raise ValueError(f"unknown candidate {a!r}")
-    others = sorted(set(game.profile.candidates) - {a})
-    return chain.from_iterable(combinations(others, k) for k in range(len(others) + 1))
+    return game._code[a], sorted(set(game.profile.candidates) - {a})
 
 
-def _run_and_drop(game: GameSpec, a: str, others: tuple[str, ...]) -> tuple[int, int]:
-    """a's utilities when exactly ``others`` stand besides a: running, dropping."""
-    standing = frozenset(others)
-    return (
-        _payoff(game, a, game._winners[standing | {a}]),
-        _payoff(game, a, game._winners.get(standing)),  # no winner when nobody stands
-    )
+def _opponent_fields(game: GameSpec, a: str) -> tuple[int, Iterable[int]]:
+    """a's code and every set of other candidates as a mask, smallest first,
+    then lexicographic by name."""
+    me, others = _others(game, a)
+    bits = [1 << game._code[c] for c in others]
+    return me, (sum(combo) for k in range(len(bits) + 1) for combo in combinations(bits, k))
+
+
+def _run_and_drop(game: GameSpec, me: int, others: int) -> tuple[int, int]:
+    """The utilities of candidate ``me`` when exactly ``others`` stand besides
+    them: running, dropping."""
+    pay, won = game._payoff[me], game._winners
+    return pay[won[others | 1 << me]], pay[won[others]]
 
 
 def _worst_run_best_drop(outcomes: Iterable[tuple]) -> tuple | None:
@@ -190,12 +213,13 @@ def gamma_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | None]:
     Checks every set of opposing runners; returns the first counterexample
     as a witness dict otherwise.
     """
-    for field in _opponent_fields(game, a):
-        u_run, u_drop = _run_and_drop(game, a, field)
+    me, fields = _opponent_fields(game, a)
+    for others in fields:
+        u_run, u_drop = _run_and_drop(game, me, others)
         if u_run < u_drop:
             return False, {
                 "candidate": a,
-                "others_running": sorted(field),
+                "others_running": _sorted_names(game, others),
                 "run_utility": u_run,
                 "drop_utility": u_drop,
             }
@@ -209,8 +233,9 @@ def gamma_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | N
     worst Run outcome over all opposing fields must be at least the best
     Drop outcome over all opposing fields.
     """
+    me, fields = _opponent_fields(game, a)
     found = _worst_run_best_drop(
-        (*_run_and_drop(game, a, field), field, field) for field in _opponent_fields(game, a)
+        (*_run_and_drop(game, me, others), others, others) for others in fields
     )
     if found is None:
         return True, None
@@ -218,14 +243,19 @@ def gamma_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | N
     return False, {
         "candidate": a,
         "worst_run_utility": u_run,
-        "worst_run_others": sorted(run_others),
+        "worst_run_others": _sorted_names(game, run_others),
         "best_drop_utility": u_drop,
-        "best_drop_others": sorted(drop_others),
+        "best_drop_others": _sorted_names(game, drop_others),
     }
 
 
 # ---------------------------------------------------------------------------
 # staged form
+
+
+def _name(game: GameSpec, winner: int) -> str | None:
+    """The name of the candidate with code ``winner``; None at -1, nobody."""
+    return None if winner < 0 else game.profile.candidates[winner]
 
 
 def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
@@ -244,55 +274,53 @@ def lambda_play(game: GameSpec, actions: Mapping[str, str]) -> PlayResult:
     bad = {c: v for c, v in actions.items() if v not in (RUN, DROP)}
     if bad:
         raise ValueError(f"actions must be {RUN!r} or {DROP!r}, got {bad}")
-    return _play(game, frozenset(c for c, v in actions.items() if v == RUN))
+    winner, asked = _play(game, sum(1 << game._code[c] for c, v in actions.items() if v == RUN))
+    return PlayResult(winner=_name(game, winner), asked=frozenset(_sorted_names(game, asked)))
 
 
-def _play(game: GameSpec, runners: frozenset[str]) -> PlayResult:
-    """The staged play in which exactly ``runners`` run, walked once per game."""
+def _play(game: GameSpec, runners: int) -> tuple[int, int]:
+    """The staged play in which exactly the candidates of mask ``runners``
+    run: the winner's code (-1 when nobody is elected) and the mask of the
+    candidates asked.  Walked once per game and set of runners."""
     played = game._plays.get(runners)  # a play depends only on who runs
     if played is not None:
         return played
-    profile = game.profile
-    f = resolve_rule(game.rule)
-    asked: set[str] = set()
+    code, winners = game._code, game._winners
+    asked = 0
 
     def ask(leaf: PQNode) -> bool:
         """Ask a leaf's candidate; True when they run."""
-        (c,) = leaf.members
-        asked.add(c)
-        return c in runners
+        nonlocal asked
+        bit = 1 << code[leaf.name]
+        asked |= bit
+        return bool(runners & bit)
 
-    def decide(node: PQNode, shown: frozenset[str]) -> str:
-        """The rule's pick among the named child blocks of ``node``.  Shown only
-        leaves, that is the field of those candidates, elected at construction;
-        a merged block's name is never a candidate's, so no other key collides."""
-        winners = game._winners
-        if shown not in winners:
-            packed = _child_summary(profile, [ch for ch in node.children if ch.name in shown])
-            winners[shown] = _single_winner(f, packed, lambda: f"blocks of {sorted(node.members)}")
-        return winners[shown]
+    def decide(shown: list[PQNode]) -> PQNode:
+        """The block the rule picks among ``shown``: the one whose
+        representative wins the field of the representatives (see the module
+        docstring), elected when the game was built."""
+        w = winners[sum(1 << code[ch.name] for ch in shown)]
+        return next(ch for ch in shown if code[ch.name] == w)
 
-    def process(node: PQNode) -> str | None:
+    def process(node: PQNode) -> int:
         if node.is_leaf:  # degenerate one-candidate game
-            (c,) = node.members
-            return c if ask(node) else None
+            return code[node.name] if ask(node) else -1
         gone: set[str] = set()  # names of children with nobody left standing
         while True:
             alive = [ch for ch in _reading_order(node) if ch.name not in gone]
             if not alive:
-                return None
+                return -1
             if node.kind == "P":
                 for ch in alive:
                     if ch.is_leaf and not ask(ch):
                         gone.add(ch.name)
                 if len(gone) == len(node.children):
-                    return None
-                block = decide(node, frozenset(ch.name for ch in node.children) - gone)
-                chosen = next(ch for ch in node.children if ch.name == block)
+                    return -1
+                chosen = decide([ch for ch in node.children if ch.name not in gone])
                 if chosen.is_leaf:
-                    return next(iter(chosen.members))
+                    return code[chosen.name]
                 sub = process(chosen)
-                if sub is not None:
+                if sub >= 0:
                     return sub
                 gone.add(chosen.name)  # that branch emptied; decide again
                 continue
@@ -301,27 +329,26 @@ def _play(game: GameSpec, runners: frozenset[str]) -> PlayResult:
             if len(alive) == 1:
                 walk = alive
             else:
-                block = decide(node, frozenset((alive[0].name, alive[1].name)))
-                walk = alive if block == alive[0].name else alive[::-1]
+                walk = alive if decide(alive[:2]) is alive[0] else alive[::-1]
             restart = False
             for ch in walk:
                 if ch.is_leaf:
                     if ask(ch):
-                        return next(iter(ch.members))
+                        return code[ch.name]
                     gone.add(ch.name)
                 else:
                     sub = process(ch)
-                    if sub is not None:
+                    if sub >= 0:
                         return sub
                     gone.add(ch.name)
                     restart = True  # the string changed; compare afresh
                     break
             if restart:
                 continue
-            return None  # walked the whole string without a runner
+            return -1  # walked the whole string without a runner
 
-    played = PlayResult(winner=process(game._tree), asked=frozenset(asked))
-    game._plays[runners] = played
+    winner = process(game._tree)
+    played = game._plays[runners] = (winner, asked)
     return played
 
 
@@ -332,22 +359,18 @@ def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | 
     actually asked: the worst Run outcome must be at least the best Drop
     outcome.  Vacuously true if ``a`` is never asked.
     """
-    if a not in game.profile.candidates:
-        raise ValueError(f"unknown candidate {a!r}")
-    others = sorted(set(game.profile.candidates) - {a})
+    me, others = _others(game, a)
+    bit = 1 << me
+    bits = [1 << game._code[c] for c in others]
+    pay = game._payoff[me]
 
     def outcomes():
         for choice in product((RUN, DROP), repeat=len(others)):
-            running = frozenset(c for c, act in zip(others, choice) if act == RUN)
-            ran = _play(game, running | {a})
-            if a in ran.asked:
-                dropped = _play(game, running)
-                yield (
-                    _payoff(game, a, ran.winner),
-                    _payoff(game, a, dropped.winner),
-                    (choice, ran.winner),
-                    (choice, dropped.winner),
-                )
+            running = sum(b for b, act in zip(bits, choice) if act == RUN)
+            ran, asked = _play(game, running | bit)
+            if asked & bit:
+                dropped, _ = _play(game, running)
+                yield pay[ran], pay[dropped], (choice, ran), (choice, dropped)
 
     found = _worst_run_best_drop(outcomes())
     if found is None:
@@ -356,7 +379,7 @@ def lambda_obviously_dominant_run(game: GameSpec, a: str) -> tuple[bool, dict | 
     return False, {
         "candidate": a,
         "worst_run_utility": u_run,
-        "worst_run": {"opponents": dict(zip(others, run_choice)), "winner": run_winner},
+        "worst_run": {"opponents": dict(zip(others, run_choice)), "winner": _name(game, run_winner)},
         "best_drop_utility": u_drop,
-        "best_drop": {"opponents": dict(zip(others, drop_choice)), "winner": drop_winner},
+        "best_drop": {"opponents": dict(zip(others, drop_choice)), "winner": _name(game, drop_winner)},
     }

@@ -9,18 +9,36 @@ that hinge on sequential tie-breaking come in three flavours here:
   breaking every tie is explored and the winners are unioned;
 * union-over-voters (``rp_n``): the union of ``rp_i`` over all voters.
 
+Each of the thirteen registered rules is written once, as its *masked
+entry*: bound to a profile (and, voter-indexed, to voter i), it is a
+function from a bitmask of candidate codes (places in
+``profile.candidates``) to the mask of the winners on the profile restricted
+to those candidates.  The :func:`_masked` decorator makes the public rule
+from it: the entry on the full mask, the winners named.  A restriction keeps
+every ballot's order among the kept candidates, and so its margins and, for
+a voter-indexed rule, voter i's ties, so the entry reads the profile's own
+core and never builds the restricted profile.  Binding does what every mask
+shares once: voter i's seats, the majority digraphs, and the elimination
+memo of running masks.  The callers that elect many sets of one profile,
+candidacy games and the clone-collapsing transform, reach the entry through
+the callable's ``_on`` attribute.
+
 Pairwise rules (``beatpath``, ``split_cycle``, ``smith``, ``schwartz``, the
 uncovered sets) and ranked pairs only consult the majority margins, and all
 of them read the one set of margin rows a profile computes (indexed like
-``profile.candidates``; see :mod:`clonelab.profiles`).
+``profile.candidates``; see :mod:`clonelab.profiles`).  On a mask, the
+Smith and Schwartz sets and ``rp_i`` read the rows at the mask's codes; the
+others run on the rows cut to the mask, and on the rows themselves,
+uncopied, when the mask is full.
 
 Both ranked-pairs flavours share one lock step over candidate codes: the
 locked graph is kept as its closure, one bitmask per candidate of everyone
 it leads to, so a pair is tested with one bit and locked with one pass, and
 the order is read off by how many each candidate leads to.  ``rp_i`` locks
-in voter i's priority order; ``rp_put`` searches closures, not sets of
-locked pairs.  PUT winner determination is NP-complete (Brill & Fischer,
-AAAI 2012), and the search has no cap.
+in voter i's priority order, sorting only the pairs inside the mask.
+``rp_put`` searches closures, not sets of locked pairs.  PUT winner
+determination is NP-complete (Brill & Fischer, AAAI 2012), and the search
+has no cap.
 
 The elimination rules (``stv``, ``stv_i``, ``alt_smith`` here; ``stv*``,
 ``nr``, ``nr_i`` and ``nnr_i`` in :mod:`clonelab.spf`) share one engine on
@@ -29,22 +47,25 @@ and sets of running candidates as integer bitmasks.  A tally counts each
 distinct ballot's top among a mask; reading the ballots backwards gives the
 last places, so a reversed restriction is never built.  Searches over tie
 branches recurse through module-level functions over one memo keyed by
-mask, which the calling rule makes, so it goes when the rule returns.  A
-run with one voter settling ties moves each ballot's top pointer only when
-its top goes out, O(k·m) for the whole run.  Plurality (``pv``, ``first_place_counts``) stays
-one pass over the public groups: a single tally does not repay building the
-core.
+mask, which the binding makes, so it goes with the binding.  A run with one
+voter settling ties moves each ballot's top pointer only when its top goes
+out, O(k·m) for the whole run.
+
+Plurality has two tallies: ``pv`` counts the core's tops among a mask, like
+the elimination rules, while the public ``first_place_counts``, with its
+``among`` argument, keeps one pass over the public groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 from .profiles import Profile
 
 WinnerSet = frozenset[str]
+_Entry = Callable[..., Callable[[int], int]]  # (profile[, i]) -> (mask -> winners' mask)
 
 __all__ = [
     "WinnerSet",
@@ -73,6 +94,54 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# candidate sets as bitmasks of codes
+
+
+def _bits(mask: int) -> list[int]:
+    """The codes of the candidates in ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _full(profile: Profile) -> int:
+    """The mask of every candidate of the profile."""
+    return (1 << len(profile.candidates)) - 1
+
+
+def _names(profile: Profile, mask: int) -> WinnerSet:
+    """The names of the candidates in ``mask``."""
+    cands = profile.candidates
+    return frozenset(cands[c] for c in _bits(mask))
+
+
+def _masked(entry: _Entry) -> Callable[..., WinnerSet]:
+    """Decorator making a rule's masked entry its public rule, much as
+    :func:`contextlib.contextmanager` makes a generator a context manager.
+
+    The decorated function binds the rule to ``(profile[, i])`` and returns
+    the function from a mask to the winners' mask; its docstring describes
+    the rule.  The public rule runs it on the full mask and names the
+    winners, and keeps the entry as its ``_on`` attribute.
+    """
+
+    def rule(profile: Profile, *i: int) -> WinnerSet:
+        return _names(profile, entry(profile, *i)(_full(profile)))
+
+    rule.__name__ = rule.__qualname__ = entry.__name__
+    rule.__doc__ = entry.__doc__
+    rule._on = entry  # type: ignore[attr-defined]
+    return rule
+
+
+# ---------------------------------------------------------------------------
+# plurality
+
+
 def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
     """Plurality tally, optionally restricted to the ``among`` candidates.
 
@@ -98,47 +167,39 @@ def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
     return counts
 
 
-def pv(profile: Profile) -> WinnerSet:
-    """Plurality: most first-place votes."""
-    counts = first_place_counts(profile)
-    best = max(counts.values())
-    return frozenset(c for c, v in counts.items() if v == best)
-
-
-# ---------------------------------------------------------------------------
-# the elimination engine: distinct ballots as codes, candidate sets as bitmasks
-
-
-def _bits(mask: int) -> list[int]:
-    """The codes of the candidates in ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _full(profile: Profile) -> int:
-    """The mask of every candidate of the profile."""
-    return (1 << len(profile.candidates)) - 1
-
-
-def _names(profile: Profile, mask: int) -> WinnerSet:
-    """The names of the candidates in ``mask``."""
-    cands = profile.candidates
-    return frozenset(cands[c] for c in _bits(mask))
-
-
-def _fewest(ballots, weights, mask: int) -> list[int]:
-    """The candidates of ``mask`` with the fewest weighted first places
-    among ``mask`` on ``ballots``."""
+def _tops(ballots, weights, mask: int) -> dict[int, int]:
+    """The weighted first places among ``mask`` on ``ballots``, by code;
+    candidates no ballot puts first are left out."""
     counts: dict[int, int] = {}
     for ballot, weight in zip(ballots, weights):
         for c in ballot:
             if mask >> c & 1:
                 counts[c] = counts.get(c, 0) + weight
                 break
+    return counts
+
+
+@_masked
+def pv(profile: Profile) -> Callable[[int], int]:
+    """Plurality: most first-place votes."""
+    core = profile._core
+
+    def on(mask: int) -> int:
+        counts = _tops(core.ballots, core.weights, mask)
+        best = max(counts.values())
+        return sum(1 << c for c, v in counts.items() if v == best)
+
+    return on
+
+
+# ---------------------------------------------------------------------------
+# the elimination engine: distinct ballots as codes, candidate sets as bitmasks
+
+
+def _fewest(ballots, weights, mask: int) -> list[int]:
+    """The candidates of ``mask`` with the fewest weighted first places
+    among ``mask`` on ``ballots``."""
+    counts = _tops(ballots, weights, mask)
     unplaced = mask & ~sum(1 << c for c in counts)
     if unplaced:  # candidates no ballot puts first tie at zero
         return _bits(unplaced)
@@ -215,14 +276,22 @@ def _peel(mask: int, loser_of: Callable[[int], int]) -> list[int]:
     return order
 
 
-def _voter_seats(profile: Profile, i: int) -> list[int]:
-    """``seat[c]``: the place of candidate code c on voter i's ballot."""
-    core = profile._core
-    ballot = core.ballots[core.slots[profile._voter_group(i)]]
+def _seats(ballot) -> list[int]:
+    """``seat[c]``: the place of candidate code c on the code ``ballot``."""
     seat = [0] * len(ballot)
     for k, c in enumerate(ballot):
         seat[c] = k
     return seat
+
+
+def _voter_seats(profile: Profile, i: int) -> list[int]:
+    """``seat[c]``: the place of candidate code c on voter i's ballot.
+
+    Raises:
+        IndexError: when the profile has no voter i.
+    """
+    core = profile._core
+    return _seats(core.ballots[core.slots[profile._voter_group(i)]])
 
 
 def _stv_i_codes(profile: Profile, i: int) -> list[int]:
@@ -235,23 +304,28 @@ def _stv_i_codes(profile: Profile, i: int) -> list[int]:
 # sequential elimination
 
 
-def stv(profile: Profile) -> WinnerSet:
+@_masked
+def stv(profile: Profile) -> Callable[[int], int]:
     """Single transferable vote, parallel-universe tie-breaking.
 
     Each round eliminates a candidate with the fewest first-place votes; on a
     tie, every choice of eliminee is followed and the survivors are unioned.
     """
     core = profile._core
-    return _names(profile, _stv_winners(core.ballots, core.weights, _full(profile), {}))
+    memo: dict[int, int] = {}  # the winners from each running mask, for every mask asked
+    return lambda mask: _stv_winners(core.ballots, core.weights, mask, memo)
 
 
-def stv_i(profile: Profile, i: int) -> WinnerSet:
+@_masked
+def stv_i(profile: Profile, i: int) -> Callable[[int], int]:
     """STV with voter i breaking every elimination tie; always decisive.
 
     Among the candidates tied for fewest first-place votes, the one voter i
     ranks lowest goes out.
     """
-    return frozenset({profile.candidates[_stv_i_codes(profile, i)[-1]]})
+    core = profile._core
+    seat = _voter_seats(profile, i)
+    return lambda mask: 1 << _stv_i_order(core.ballots, core.weights, mask, seat)[-1]
 
 
 def stv_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
@@ -277,18 +351,17 @@ def sigma_i(profile: Profile, i: int) -> tuple[frozenset[str], ...]:
     return tuple(pairs)
 
 
-def _priority_pairs(profile: Profile, i: int) -> list[tuple[int, int]]:
-    """:func:`priority_order` as pairs of candidate codes."""
-    rows = profile._core.rows
-    pos = _voter_seats(profile, i)  # code -> place on voter i's ballot
+def _priority_key(rows, seat: list[int]) -> Callable[[tuple[int, int]], tuple]:
+    """The sort key of :func:`priority_order` on pairs of candidate codes,
+    ``seat`` giving the places on voter i's ballot."""
 
     def key(ab: tuple[int, int]) -> tuple[int, int, int, int]:
         a, b = ab
-        pa, pb = pos[a], pos[b]
+        pa, pb = seat[a], seat[b]
         # voter i's rank of the pair {a, b} is the order of (upper, lower) place
         return (-rows[a][b], *((pa, pb) if pa < pb else (pb, pa)), pa)
 
-    return sorted(((a, b) for a in range(len(rows)) for b in range(len(rows)) if a != b), key=key)
+    return key
 
 
 def priority_order(profile: Profile, i: int) -> tuple[tuple[str, str], ...]:
@@ -297,8 +370,11 @@ def priority_order(profile: Profile, i: int) -> tuple[tuple[str, str], ...]:
     Larger margins first; equal margins settled by voter i's pair ranking;
     the two orientations of a majority-tied pair settled by i's ballot.
     """
-    cands = profile.candidates
-    return tuple((cands[a], cands[b]) for a, b in _priority_pairs(profile, i))
+    cands, rows = profile.candidates, profile._core.rows
+    pairs = ((a, b) for a in range(len(rows)) for b in range(len(rows)) if a != b)
+    return tuple(
+        (cands[a], cands[b]) for a, b in sorted(pairs, key=_priority_key(rows, _voter_seats(profile, i)))
+    )
 
 
 def _lock(reach: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -309,11 +385,10 @@ def _lock(reach: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple([rx | gained if x == a or rx >> a & 1 else rx for x, rx in enumerate(reach)])
 
 
-def _ranking_of(profile: Profile, reach: tuple[int, ...]) -> tuple[str, ...]:
-    """The total order a closure locks, read off by how many each candidate
-    leads to."""
-    order = sorted(range(len(reach)), key=lambda c: -reach[c].bit_count())
-    return tuple(profile.candidates[c] for c in order)
+def _order(reach: tuple[int, ...], mask: int) -> list[int]:
+    """The codes of ``mask`` in the total order a closure locks among them,
+    top first, read off by how many each candidate leads to."""
+    return sorted(_bits(mask), key=lambda c: -reach[c].bit_count())
 
 
 def _open(reach: tuple[int, ...], a: int, b: int) -> bool:
@@ -321,25 +396,36 @@ def _open(reach: tuple[int, ...], a: int, b: int) -> bool:
     return not (reach[a] >> b & 1 or reach[b] >> a & 1)
 
 
-def rp_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
-    """Full ranked-pairs order with voter i's priority order.
+def _rp_i_order(rows, mask: int, seat: list[int]) -> list[int]:
+    """The ranked-pairs order of the codes of ``mask``, top first, voter i
+    (``seat``) settling ties.
 
-    Pairs of non-negative margin are locked in priority order unless the
-    locked graph already leads back; see :func:`_lock`.
+    The pairs inside the mask of non-negative margin are locked in priority
+    order unless the locked graph already leads back; see :func:`_lock`.
     """
-    rows = profile._core.rows
+    members = _bits(mask)
+    pairs = [(a, b) for a in members for b in members if a != b and rows[a][b] >= 0]
+    pairs.sort(key=_priority_key(rows, seat))
     reach = (0,) * len(rows)
-    for a, b in _priority_pairs(profile, i):
-        if rows[a][b] < 0:
-            break  # every later pair has a negative margin too
+    for a, b in pairs:
         if _open(reach, a, b):
             reach = _lock(reach, a, b)
-    return _ranking_of(profile, reach)
+    return _order(reach, mask)
 
 
-def rp_i(profile: Profile, i: int) -> WinnerSet:
+def rp_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
+    """Full ranked-pairs order with voter i's priority order."""
+    order = _rp_i_order(profile._core.rows, _full(profile), _voter_seats(profile, i))
+    cands = profile.candidates
+    return tuple(cands[c] for c in order)
+
+
+@_masked
+def rp_i(profile: Profile, i: int) -> Callable[[int], int]:
     """Ranked pairs with voter i settling all ties; always decisive."""
-    return frozenset({rp_i_ranking(profile, i)[0]})
+    seat = _voter_seats(profile, i)
+    rows = profile._core.rows
+    return lambda mask: 1 << _rp_i_order(rows, mask, seat)[0]
 
 
 def _lock_acyclic(reach: tuple[int, ...], group: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -355,8 +441,9 @@ def _lock_acyclic(reach: tuple[int, ...], group: list[tuple[int, int]]) -> tuple
     return reach
 
 
-def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
-    """Every ranked-pairs order reachable by some tie-breaking order.
+def _put_closures(rows) -> set[tuple[int, ...]]:
+    """The closures of every ranked-pairs order reachable by some
+    tie-breaking order on the margin rows ``rows``.
 
     Pairs are taken a margin group at a time, largest first.  Processing a
     group in some order locks a maximal set of its pairs that closes no
@@ -369,7 +456,6 @@ def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
     with a→b are those of locking a→b first, so the search branches on one
     open pair's two orientations only.
     """
-    rows = profile._core.rows
     by_margin: dict[int, list[tuple[int, int]]] = {}
     for a, row in enumerate(rows):
         for b, w in enumerate(row):
@@ -393,32 +479,68 @@ def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    return frozenset(_ranking_of(profile, reach) for reach in states)
+    return states
 
 
-def rp_put(profile: Profile) -> WinnerSet:
+def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
+    """Every ranked-pairs order reachable by some tie-breaking order."""
+    cands, full = profile.candidates, _full(profile)
+    return frozenset(
+        tuple(cands[c] for c in _order(reach, full)) for reach in _put_closures(profile._core.rows)
+    )
+
+
+@_masked
+def rp_put(profile: Profile) -> Callable[[int], int]:
     """Ranked pairs, parallel-universe over all pair-processing orders."""
-    return frozenset(r[0] for r in rp_put_rankings(profile))
+
+    def winners(rows) -> set[int]:
+        full = (1 << len(rows)) - 1
+        return {_order(reach, full)[0] for reach in _put_closures(rows)}
+
+    return _on_margins(profile, winners)
 
 
-def _distinct_voters(profile: Profile) -> list[int]:
-    """For each distinct ranking of the profile, the first voter casting it."""
-    voters: list[int] = []
-    i = 1
-    for slot, (_, mult) in zip(profile._core.slots, profile.groups):
-        if slot == len(voters):  # the core numbers rankings as they first appear
-            voters.append(i)
-        i += mult
-    return voters
+@_masked
+def rp_n(profile: Profile) -> Callable[[int], int]:
+    """Union of ``rp_i`` over every voter of the profile.
 
+    Voters casting one ranking elect alike, and so do rankings that become
+    equal on a mask, so the union runs over the profile's distinct rankings.
+    """
+    core = profile._core
+    rows = core.rows
+    seats = [_seats(ballot) for ballot in core.ballots]
 
-def rp_n(profile: Profile) -> WinnerSet:
-    """Union of ``rp_i`` over every voter of the profile."""
-    return frozenset(rp_i_ranking(profile, i)[0] for i in _distinct_voters(profile))
+    def on(mask: int) -> int:
+        won = 0
+        for seat in seats:
+            won |= 1 << _rp_i_order(rows, mask, seat)[0]
+        return won
+
+    return on
 
 
 # ---------------------------------------------------------------------------
 # pairwise-margin rules
+
+
+def _on_margins(profile: Profile, winners: Callable[[list], Iterable[int]]) -> Callable[[int], int]:
+    """The masked entry of a rule that reads only the margins among the
+    running candidates: ``winners(rows)`` lists the winners' places in the
+    margin rows ``rows``, which a mask cuts from the profile's (the rows
+    themselves, uncopied, on the full mask)."""
+    rows = profile._core.rows
+    full = (1 << len(rows)) - 1
+
+    def on(mask: int) -> int:
+        if mask == full:  # places are codes
+            return sum(1 << k for k in winners(rows))
+        codes = _bits(mask)
+        cut = [[row[b] for b in codes] for row in map(rows.__getitem__, codes)]
+        return sum(1 << codes[k] for k in winners(cut))
+
+    return on
 
 
 @dataclass(frozen=True)
@@ -437,7 +559,7 @@ class StrengthMatrix:
         return dict(self._strengths)
 
 
-def _widest_paths(margins: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+def _widest_paths(margins) -> list[list[int]]:
     """Max over paths a→b of the path's smallest positive margin; 0 with no path.
 
     Floyd–Warshall, skipping each ``k`` that ``a`` cannot reach (it widens nothing).
@@ -463,15 +585,19 @@ def strength_matrix(profile: Profile) -> StrengthMatrix:
     return StrengthMatrix(candidates=cands, _strengths=pairs)
 
 
-def beatpath(profile: Profile) -> WinnerSet:
+@_masked
+def beatpath(profile: Profile) -> Callable[[int], int]:
     """Beats-or-ties everyone in widest-path strength."""
-    s = _widest_paths(profile._core.rows)
-    return frozenset(
-        c for a, c in enumerate(profile.candidates) if all(w >= s[b][a] for b, w in enumerate(s[a]))
-    )
+
+    def winners(rows) -> list[int]:
+        s = _widest_paths(rows)
+        return [a for a, sa in enumerate(s) if all(w >= s[b][a] for b, w in enumerate(sa))]
+
+    return _on_margins(profile, winners)
 
 
-def split_cycle(profile: Profile) -> WinnerSet:
+@_masked
+def split_cycle(profile: Profile) -> Callable[[int], int]:
     """Discard each cycle's weakest defeats simultaneously; undefeated win.
 
     A defeat a→b is the weakest link of some cycle exactly when a path from b
@@ -479,13 +605,12 @@ def split_cycle(profile: Profile) -> WinnerSet:
     margin exceeds the widest-path strength from b to a (Holliday & Pacuit,
     *Split Cycle*, Public Choice 2023).
     """
-    margins = profile._core.rows
-    s = _widest_paths(margins)
-    return frozenset(
-        c
-        for b, c in enumerate(profile.candidates)
-        if all(row[b] <= s[b][a] for a, row in enumerate(margins))
-    )
+
+    def winners(margins) -> list[int]:
+        s = _widest_paths(margins)
+        return [b for b, sb in enumerate(s) if all(row[b] <= sb[a] for a, row in enumerate(margins))]
+
+    return _on_margins(profile, winners)
 
 
 def _digraph(rows, minimum: int) -> list[int]:
@@ -515,20 +640,25 @@ def _source_components(arcs: list[int], mask: int) -> int:
     return out
 
 
-def smith(profile: Profile) -> WinnerSet:
+@_masked
+def smith(profile: Profile) -> Callable[[int], int]:
     """Smallest set whose members beat every outsider head-to-head.
 
     Beats-or-ties is complete, so its digraph has exactly one source component.
     """
-    return _names(profile, _source_components(_digraph(profile._core.rows, 0), _full(profile)))
+    arcs = _digraph(profile._core.rows, 0)
+    return lambda mask: _source_components(arcs, mask)
 
 
-def schwartz(profile: Profile) -> WinnerSet:
+@_masked
+def schwartz(profile: Profile) -> Callable[[int], int]:
     """Union of the undominated components of the strict-defeat digraph."""
-    return _names(profile, _source_components(_digraph(profile._core.rows, 1), _full(profile)))
+    arcs = _digraph(profile._core.rows, 1)
+    return lambda mask: _source_components(arcs, mask)
 
 
-def alt_smith(profile: Profile) -> WinnerSet:
+@_masked
+def alt_smith(profile: Profile) -> Callable[[int], int]:
     """Alternate Smith-set restriction with plurality-loser elimination.
 
     Repeat: cut the field to its Smith set; if several candidates remain,
@@ -538,50 +668,53 @@ def alt_smith(profile: Profile) -> WinnerSet:
     """
     core = profile._core
     arcs = _digraph(core.rows, 0)
-    won = _stv_winners(
-        core.ballots, core.weights, _full(profile), {}, lambda mask: _source_components(arcs, mask)
-    )
-    return _names(profile, won)
+    memo: dict[int, int] = {}  # the winners from each running mask, for every mask asked
+
+    def cut(mask: int) -> int:
+        return _source_components(arcs, mask)
+
+    return lambda mask: _stv_winners(core.ballots, core.weights, mask, memo, cut)
 
 
 # ---------------------------------------------------------------------------
 # uncovered sets
 
 
-def _beaten_by(profile: Profile) -> list[int]:
+def _beaten_by(rows) -> list[int]:
     """Bit c of ``beaten_by[a]`` is set when candidate c strictly beats a
-    (codes as in ``profile.candidates``); b left-covers a when every
-    candidate beating b beats a, i.e. ``beaten_by[b]`` lies within
-    ``beaten_by[a]``."""
-    rows = profile._core.rows
+    (by place in ``rows``); b left-covers a when every candidate beating b
+    beats a, i.e. ``beaten_by[b]`` lies within ``beaten_by[a]``."""
     return [sum(1 << c for c, row in enumerate(rows) if row[a] > 0) for a in range(len(rows))]
 
 
-def uc_gillies(profile: Profile) -> WinnerSet:
+@_masked
+def uc_gillies(profile: Profile) -> Callable[[int], int]:
     """Nobody both left-covers and pairwise defeats a winner."""
-    rows = profile._core.rows
-    beaten = _beaten_by(profile)
-    return frozenset(
-        name
-        for a, name in enumerate(profile.candidates)
-        if not any(
-            rows[b][a] > 0 and not beaten[b] & ~beaten[a] for b in range(len(rows)) if b != a
-        )
-    )
+
+    def winners(rows) -> list[int]:
+        beaten = _beaten_by(rows)
+        return [
+            a
+            for a in range(len(rows))
+            if not any(rows[b][a] > 0 and not beaten[b] & ~beaten[a] for b in range(len(rows)) if b != a)
+        ]
+
+    return _on_margins(profile, winners)
 
 
-def uc_fishburn(profile: Profile) -> WinnerSet:
+@_masked
+def uc_fishburn(profile: Profile) -> Callable[[int], int]:
     """Nobody left-covers a winner without being left-covered back."""
-    beaten = _beaten_by(profile)
-    return frozenset(
-        name
-        for a, name in enumerate(profile.candidates)
-        if not any(
-            not beaten[b] & ~beaten[a] and beaten[a] & ~beaten[b]
-            for b in range(len(beaten))
-            if b != a
-        )
-    )
+
+    def winners(rows) -> list[int]:
+        beaten = _beaten_by(rows)
+        return [
+            a
+            for a, ba in enumerate(beaten)
+            if not any(not bb & ~ba and ba & ~bb for b, bb in enumerate(beaten) if b != a)
+        ]
+
+    return _on_margins(profile, winners)
 
 
 def condorcet_winner(profile: Profile) -> str | None:

@@ -19,6 +19,7 @@ seat of their meta-candidate; the composition check splices with ``chain``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from . import scf
@@ -27,7 +28,6 @@ from .profiles import Profile, Ranking
 from .scf import (
     WinnerSet,
     _bits,
-    _distinct_voters,
     _fewest,
     _full,
     _peel,
@@ -248,6 +248,17 @@ def rp_i_star(profile: Profile, i: int) -> RankingSet:
     return frozenset({rp_i_ranking(profile, i)})
 
 
+def _distinct_voters(profile: Profile) -> list[int]:
+    """For each distinct ranking of the profile, the first voter casting it."""
+    voters: list[int] = []
+    i = 1
+    for slot, (_, mult) in zip(profile._core.slots, profile.groups):
+        if slot == len(voters):  # the core numbers rankings as they first appear
+            voters.append(i)
+        i += mult
+    return voters
+
+
 def rp_n_star(profile: Profile) -> RankingSet:
     """Union of ``rp_i_star`` over every voter."""
     return frozenset(rp_i_ranking(profile, i) for i in _distinct_voters(profile))
@@ -283,7 +294,9 @@ _RULES: dict[tuple[str, str], tuple[Callable, str | None]] = {
 }
 """The one rule-id registry: (kind, id) → (rule, suffix after ``:<i>``), kind
 ``scf`` for winner rules and ``spf`` for ranking rules; the suffix is ``None``
-for plain ids, and voter-indexed rules take the index as a second argument."""
+for plain ids, and voter-indexed rules take the index as a second argument.
+Every winner rule carries its masked entry as ``_on`` (see :mod:`clonelab.scf`),
+and so does the callable :func:`_resolve_id` binds to voter i."""
 
 def _rule_ids(kind: str) -> tuple[str, ...]:
     """Printable ids of one kind, indexed ones written ``<id>:<i><suffix>``."""
@@ -315,6 +328,8 @@ def _resolve_id(kind: str, rule_id: str) -> Callable:
         def indexed(profile: Profile, _f=fn, _i=i):
             return _f(profile, _i)
         indexed.__name__ = name.replace(":", "_").replace("*", "_star")
+        if hasattr(fn, "_on"):  # a winner rule's masked entry, bound to voter i too
+            indexed._on = partial(fn._on, i=i)
         return indexed
     raise ValueError(f"unknown {label} {rule_id!r} (known: {', '.join(_rule_ids(kind))})")
 

@@ -5,6 +5,7 @@ two- and four-ballot profiles where ties are the rule."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -136,6 +137,24 @@ def build_game_profiles() -> list[Profile]:
             ballots.append(tuple(c for t in top for c in {"x": x, "y": y}.get(t, [t])))
         out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
     return out
+
+
+def count_calls(codes, fn, *args):
+    """Run ``fn(*args)``; returns its result and, for each code object of
+    ``codes``, how many calls of it the run made (a profile hook sees every
+    call, however the function was imported or bound)."""
+    counts = dict.fromkeys(codes, 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 @pytest.fixture(scope="session")

@@ -148,6 +148,10 @@ def test_usage_errors(capsys, profile_path):
     # indecisive rule in a candidacy game is a usage problem
     assert run(capsys, "candidacy", profile_path("P5"), "--rule", "pv",
                "--form", "gamma")[0] == 64
+    # so is a voter index the profile does not have, on the masked path too
+    code, out, err = run(capsys, "candidacy", profile_path("P2"), "--rule", "rp_i:40",
+                         "--form", "gamma")
+    assert code == 64 and out == "" and "voter index 40 out of range 1..12" in err
     # an unknown candidate is reported before the game is built
     code, _, err = run(capsys, "candidacy", profile_path("P5"), "--rule", "pv",
                        "--form", "gamma", "--candidate", "zz")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from clonelab import profiles
 from clonelab.clones import clone_structure
 from clonelab.games import (
     DROP,
@@ -20,7 +21,7 @@ from clonelab.games import (
 from clonelab.profiles import Profile, restrict
 from clonelab.transform import RULE_IDS, cc_transform, resolve_rule
 
-from conftest import build_game_profiles
+from conftest import build_game_profiles, count_calls
 from oracles import brute_game_verdicts
 
 
@@ -201,21 +202,45 @@ def test_games_call_the_rule_once_per_field_and_decision(fixtures):
         gamma_obviously_dominant_run(game, a)
     assert len(calls) == 15  # every field was elected while building the game
 
-    # A staged decision among single candidates is a field, elected while the
-    # game was built; only block summaries holding a merged block call the
-    # rule again.  P7's tree has no merged block, P2's has a1+a2.
+    # A staged decision reads the field of the shown blocks' representatives,
+    # elected while the game was built, merged blocks (P2's a1+a2) included,
+    # so the staged analysis calls the rule no more.
     for rid in ("rp_i:1", "stv_i:1"):
-        for p, merged in ((fixtures["P7"], 0), (p2, 4)):
+        for p in (fixtures["P7"], p2):
             calls.clear()
             staged = GameSpec(profile=p, rule=counting(rid), form="lambda")
             built = len(calls)
             assert built == 2**p.m - 1
             first = [lambda_obviously_dominant_run(staged, a) for a in p.candidates]
-            decisions = calls[built:]
-            assert len(set(decisions)) == len(decisions) == merged, (rid, p)  # none decided twice
-            assert all("a1+a2" in shown.candidates for shown in decisions)
+            assert len(calls) == built, (rid, p)
             assert [lambda_obviously_dominant_run(staged, a) for a in p.candidates] == first
-            assert len(calls) == built + merged
+            assert len(calls) == built
+
+
+def test_registered_games_run_the_masked_entry_once_per_field(fixtures):
+    """A registered rule elects each field of a game with one call of its
+    masked entry on the profile's core, deriving no profile; the analyses of
+    either form call it no more, and the transform derives no summary."""
+    derive = profiles._derive.__code__
+
+    def analyse(game):
+        for a in game.profile.candidates:
+            if game.form == "gamma":
+                gamma_dominant_run(game, a)
+                gamma_obviously_dominant_run(game, a)
+            else:
+                lambda_obviously_dominant_run(game, a)
+
+    for rid in ("rp_i:1", "stv_i:1"):
+        for p in (fixtures["P2"], fixtures["P7"]):
+            entry = resolve_rule(rid)._on(p).__code__  # shared by every binding
+            for form in ("gamma", "lambda"):
+                game, built = count_calls((entry, derive), GameSpec, p, rid, form)
+                assert built == {entry: 2**p.m - 1, derive: 0}, (rid, p, form)
+                _, analysed = count_calls((entry, derive), analyse, game)
+                assert analysed == {entry: 0, derive: 0}, (rid, p, form)
+    _, transformed = count_calls((derive,), cc_transform, "rp_i:1", fixtures["P2"])
+    assert transformed == {derive: 0}
 
 
 def _rule_ids(n):

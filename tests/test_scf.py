@@ -3,8 +3,10 @@ oracle-equivalence and containment laws on the random corpus."""
 
 import pytest
 
+from clonelab.pqtree import build_pqtree, internal_nodes
 from clonelab.profiles import load_fixture, parse_profile, remove_candidates
 from clonelab.scf import (
+    _bits,
     alt_smith,
     beatpath,
     condorcet_winner,
@@ -27,8 +29,11 @@ from clonelab.scf import (
     uc_fishburn,
     uc_gillies,
 )
+from clonelab.transform import RULE_IDS, resolve_rule
 
 from oracles import (
+    brute_restrict,
+    brute_summarize,
     brute_path_strength,
     brute_schwartz,
     brute_smith,
@@ -37,7 +42,7 @@ from oracles import (
     is_weak_stack,
     literal_ranked_pairs_orders,
 )
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +279,36 @@ def test_rankings_are_permutations(corpus):
 def test_first_place_counts_sum_to_n(corpus):
     for p in corpus[:100]:
         assert sum(first_place_counts(p).values()) == p.n
+
+
+def _masked_ids(n):
+    """Every registered winner-rule id, indexed ids at voters 1 and 2 (voter
+    2 only where there is one)."""
+    for rid in RULE_IDS:
+        yield from ([rid.replace("<i>", str(i)) for i in (1, 2)[:n]] if "<i>" in rid else [rid])
+
+
+def test_masked_entries_match_name_level_oracles(corpus, fixtures):
+    """Each registered rule's masked entry, bound to a profile, elects on
+    every field's mask what the rule elects on the restriction the oracles
+    build, and on the mask of one representative per child of every tree
+    node what it elects on the node's block summary: the winners do not
+    depend on the candidates' names."""
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:80]:
+        code_of = {c: k for k, c in enumerate(p.candidates)}
+        nodes = internal_nodes(build_pqtree(p))
+        for rid in _masked_ids(p.n):
+            f = resolve_rule(rid)
+            on = f._on(p)
+            for k in range(1, p.m + 1):
+                for field in combinations(p.candidates, k):
+                    won = on(sum(1 << code_of[c] for c in field))
+                    assert {p.candidates[c] for c in _bits(won)} == f(brute_restrict(p, field)), (
+                        rid, p, field)
+            for node in nodes:
+                block = {code_of[min(child.members)]: child.name for child in node.children}
+                summary = brute_summarize(
+                    brute_restrict(p, node.members), [child.members for child in node.children]
+                )
+                won = on(sum(1 << c for c in block))
+                assert {block[c] for c in _bits(won)} == f(summary), (rid, p, node.members)

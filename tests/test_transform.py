@@ -14,6 +14,8 @@ from clonelab.transform import (
     rule_label,
 )
 
+from conftest import count_calls
+
 
 def K(*blocks):
     return [frozenset(b) for b in blocks]
@@ -105,6 +107,14 @@ def test_trace_one_rule_call_per_visited_node(fixtures):
         assert calls == len(trace) == sum(rec["rule_calls"] for rec in trace)
         assert all(rec["kind"] in ("P", "Q") for rec in trace)
         assert len(trace) <= len(internal_nodes(build_pqtree(p)))
+        # a registered rule: the records count the calls of its masked entry
+        for rid in ("stv", "rp_i:1"):
+            entry = resolve_rule(rid)._on(p).__code__  # shared by every binding
+            masked = []
+            _, made = count_calls((entry,), cc_transform, rid, p, masked)
+            assert made[entry] == len(masked) == sum(rec["rule_calls"] for rec in masked)
+            if rid == "stv":  # the walk of the counted callable above, record for record
+                assert masked == trace
 
 
 def test_trace_p2(fixtures):
