@@ -9,6 +9,13 @@ ballot tracks its members' lowest and highest position (O(k·m²) for k
 ballots at most; the scan from a start stops once every interval from it has
 an outsider inside on some ballot, which on unstructured profiles is after a
 few ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
+
+The table is kept, for the 256 most recent profiles, keyed by the places
+each distinct ballot gives voter 1's candidates: equal profiles built apart,
+as the axiom sweeps build them, share one entry, and the entry holds no
+profile.  The clone structure, the decompositions, the PQ-tree
+(:mod:`clonelab.pqtree`) and the transform's walk (:mod:`clonelab.transform`)
+all read it.
 """
 
 from __future__ import annotations
@@ -56,17 +63,20 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     return True
 
 
-def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]], list]:
-    """Voter 1's ranking ``first``, the table ``t`` with ``t[i][j]`` True
-    exactly when ``first[i:j]`` is a clone set (0 <= i < j <= m), and the
-    core's ``positions()`` the table was read from."""
-    first = profile.groups[0][0]
-    m = len(first)
-    positions = profile._core.positions()
+@lru_cache(maxsize=_CACHE_SIZE)
+def _interval_table(positions: tuple) -> tuple[tuple[bool, ...], ...]:
+    """The table ``t`` with ``t[i][j]`` True exactly when the candidates
+    voter 1 ranks at places ``i`` to ``j - 1`` (0 <= i < j <= m) form a clone
+    set, read from a core's ``positions()`` as a tuple.
+
+    The key holds places only, no names or codes, so profiles that differ
+    by renaming, by the order their candidates are listed or by the voter
+    counts share one entry, and no entry keeps a profile alive."""
+    m = len(positions[0])
     others = positions[1:]  # voter 1's own ballot splits no interval
     table = []
     for i in range(m):
-        spread = [j - 1 - i for j in range(m + 1)]  # widest span of first[i:j] so far
+        spread = [j - 1 - i for j in range(m + 1)]  # widest span of places i..j-1 so far
         top = m if i else m - 1  # last end of a nontrivial interval still unsplit
         for pos in others:
             if top < i + 2:
@@ -82,8 +92,16 @@ def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], list[list[bool]
                     spread[j] = hi - lo
             while top > i + 1 and spread[top] != top - 1 - i:
                 top -= 1  # spans only widen: an interval once split stays split
-        table.append([j > i and spread[j] == j - 1 - i for j in range(m + 1)])
-    return first, table, positions
+        table.append(tuple(j > i and spread[j] == j - 1 - i for j in range(m + 1)))
+    return tuple(table)
+
+
+def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], tuple, tuple]:
+    """Voter 1's ranking ``first``, the interval table of :func:`_interval_table`
+    (``first[i:j]`` is a clone set exactly when ``t[i][j]``), and the core's
+    ``positions()`` the table was read from."""
+    positions = tuple(profile._core.positions())
+    return profile.groups[0][0], _interval_table(positions), positions
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

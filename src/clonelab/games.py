@@ -39,13 +39,15 @@ and the margin rows are counted only where they are read (a plain
 Any other callable, ``^cc`` rules included, is shown each field as a
 profile cut from the core with no name checks
 (:func:`clonelab.profiles._derive`), its margin rows cut from the
-profile's, counted once; a ``^cc`` rule then builds that field's own
-PQ-tree, since removing candidates can create clone sets.  The clone
-distances come from one walk of the profile's tree, O(m²), into a table of
-utilities by candidate code.  Plays are kept by the runners' mask.  Names
-appear only at the edges: :func:`utility`, :func:`lambda_play`,
-:class:`PlayResult` and the witnesses, and only :func:`utility` and
-:func:`lambda_play` validate their arguments.
+profile's, counted once; a ``^cc`` rule then reads that field's own table
+of clone intervals, since removing candidates can create clone sets, and
+walks it without building a tree (:mod:`clonelab.transform`), so a game
+builds one PQ-tree, the profile's.  The clone distances come from one walk
+of that tree, O(m²), into a table of utilities by candidate code.  Plays
+are kept by the runners' mask.  Names appear only at the edges:
+:func:`utility`, :func:`lambda_play`, :class:`PlayResult` and the
+witnesses, and only :func:`utility` and :func:`lambda_play` validate their
+arguments.
 """
 
 from __future__ import annotations

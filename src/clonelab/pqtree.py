@@ -29,16 +29,19 @@ counts are even.  :func:`ordered_child` reads children in majority order,
 falling back to stored order on a tie.  For P nodes the stored order is
 purely cosmetic, so children are arranged by a display convention:
 ascending number of last-place finishes for the block, ties by block name.
+
+The split of a node into its kind and children (:func:`_split`) and the P
+order (:func:`_stored_order`) work on intervals of the table alone, so the
+clone-collapsing transform (:mod:`clonelab.transform`) splits the nodes it
+visits by the same rules without building the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
-
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
-from .profiles import Profile, _codes, _derive, block_name
+from .profiles import Profile, block_name
 
 __all__ = [
     "PQNode",
@@ -72,18 +75,45 @@ class PQNode:
         return block_name(self.members)
 
 
-def _child_summary(profile: Profile, children: Iterable[PQNode]) -> Profile:
-    """The profile restricted to a node, each child block collapsed to its name.
+def _split(table, i: int, j: int) -> tuple[str, list[int]]:
+    """The kind of the node ``[i, j)`` of the interval ``table`` (see
+    :func:`clonelab.clones._interval_table`) and its children's bounds: the
+    node's own ``i``, where each child ends, ``j`` last, in voter 1's order.
 
-    Every ballot ranks each child block consecutively, so a block sits where
-    any one of its members does: the summary is the profile cut down to one
-    member per block (:func:`clonelab.profiles._derive`), the blocks in the
-    order voter 1 ranks them, and its margins are those of the members.
-    """
-    code_of = _codes(profile.candidates)
-    name_of = {code_of[next(iter(child.members))]: child.name for child in children}
-    keep = [c for c in profile._core.ballots[0] if c in name_of]  # voter 1's order of the blocks
-    return _derive(profile, keep, tuple(map(name_of.__getitem__, keep)))
+    The node is Q when it has a cut, its children the pieces between the
+    cuts, and P otherwise, its children the longest proper clone interval
+    from ``i``, then the longest from where that one ends, and so on."""
+    row = table[i]
+    cuts = [c for c in range(i + 1, j) if row[c] and table[c][j]]
+    if cuts:
+        return "Q", [i, *cuts, j]
+    bounds = [i]
+    end = j - 1  # the first child must be a proper subset of the node; later ones are anyway
+    while bounds[-1] < j:
+        row = table[bounds[-1]]
+        while not row[end]:
+            end -= 1
+        bounds.append(end)
+        end = j
+    return "P", bounds
+
+
+def _stored_order(positions, weights, first, bounds: list[int]) -> list[tuple[int, int]]:
+    """A P node's children ``[a, b)``, given its ``bounds`` as :func:`_split`
+    returns them, in stored order: ascending number of voters ranking the
+    child's block last among the node's members, ties by block name.
+    ``positions`` and ``weights`` are the core's, and ``first`` is voter 1's
+    ranking."""
+    i, j = bounds[0], bounds[-1]
+    kids = list(zip(bounds, bounds[1:]))
+    owner = []  # voter 1's place -> the child there, over the node
+    for k, (a, b) in enumerate(kids):
+        owner += [k] * (b - a)
+    last = [0] * len(kids)  # voters ranking each child last here
+    for pos, weight in zip(positions, weights):
+        span = pos[i:j]
+        last[owner[span.index(max(span))]] += weight
+    return sorted(kids, key=lambda ab: (last[owner[ab[0] - i]], block_name(first[ab[0] : ab[1]])))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -92,40 +122,23 @@ def build_pqtree(profile: Profile) -> PQNode:
     first, table, positions = _clone_intervals(profile)
     core = profile._core
     codes = core.ballots[0]  # codes[i] is the code of first[i]
-    n = sum(core.weights)
 
     def build(i: int, j: int) -> PQNode:
         members = frozenset(first[i:j])
         if j - i == 1:
             return PQNode(members=members, kind="leaf")
-        cuts = [c for c in range(i + 1, j) if table[i][c] and table[c][j]]
-        if cuts:
-            bounds = [i, *cuts, j]
-            head, second = codes[i], codes[cuts[0]]
-            forward = (n + core.rows[head][second]) // 2  # voters with head above second
-            backward = n - forward
+        kind, bounds = _split(table, i, j)
+        if kind == "Q":
+            margin = core.rows[codes[i]][codes[bounds[1]]]  # the first child's block over the second's
             return PQNode(
                 members=members,
                 kind="Q",
                 children=tuple(build(a, b) for a, b in zip(bounds, bounds[1:])),
-                orientation="forward" if forward >= backward else "reverse",
-                tie=forward == backward,
+                orientation="forward" if margin >= 0 else "reverse",
+                tie=margin == 0,
             )
-        children = []
-        start = i
-        while start < j:  # each child: the longest proper clone interval from here
-            end = max(e for e in range(start + 1, j + 1) if table[start][e] and e - start < j - i)
-            children.append(build(start, end))
-            start = end
-        owner = []  # voter 1's place -> the name of the child there, over the node
-        for child in children:
-            owner += [child.name] * len(child.members)
-        last_counts = dict.fromkeys(owner, 0)  # voters ranking each child last here
-        for pos, weight in zip(positions, core.weights):
-            span = pos[i:j]
-            last_counts[owner[span.index(max(span))]] += weight
-        children.sort(key=lambda child: (last_counts[child.name], child.name))
-        return PQNode(members=members, kind="P", children=tuple(children))
+        kids = _stored_order(positions, core.weights, first, bounds)
+        return PQNode(members=members, kind="P", children=tuple(build(a, b) for a, b in kids))
 
     return build(0, len(first))
 

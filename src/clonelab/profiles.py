@@ -272,8 +272,11 @@ class _Core:
     def positions(self) -> list:
         """For each distinct ranking, the position of each of voter 1's
         candidates on it: ``positions()[k][x]`` places voter 1's x-th choice.
-        Computed afresh on each call rather than kept: only a clone table and
-        a tree's last-place counts read it, while they are built."""
+        Computed afresh on each call rather than kept.  It holds no names
+        or codes, so as a tuple it keys the table of clone intervals
+        (:func:`clonelab.clones._interval_table`) that the tree and the
+        transform's walk read; the last places that order a P node's
+        children are counted from it too."""
         first = self.ballots[0]
         if isinstance(first, bytes):  # code -> position as a translation table
             seats = bytes(range(len(first)))

@@ -17,15 +17,24 @@ Each visited internal node costs exactly one call of f (of its masked entry,
 for a registered rule), on as many candidates as the node has children (two
 for Q nodes).
 
+The walk never builds the tree.  Every node is an interval ``[i, j)`` of
+voter 1's ranking, so the walk reads the profile's table of clone intervals
+(:func:`clonelab.clones._interval_table`) and splits only the nodes it
+visits, by the rule that builds the tree (:func:`clonelab.pqtree._split`).
+A Q node reads back-to-front when a strict majority ranks its second block
+above its first; a P node's children are put in the tree's stored order
+only when the rule elects more than one of them, so that the walk and its
+trace visit them as the tree lists them.
+
 Every child of a node is a clone set of the profile, so it is consecutive
 on every ballot, and the profile cut down to one member of each block shown
-is the block summary with those members renamed to their blocks: the same
-ballots, the same voters, the same ties for voter i.  So a registered rule
-(one whose callable carries a masked entry, see :mod:`clonelab.scf`) is
-asked about the summary as the mask of the blocks' representatives, on the
-profile's own core, and no summary profile is built.  Any other callable is
-shown the summary profile with its blocks named, as :class:`_Elector`
-describes.
+(its representative: the one voter 1 ranks first) is the block summary with
+those members renamed to their blocks: the same ballots, the same voters,
+the same ties for voter i.  So a registered rule (one whose callable carries
+a masked entry, see :mod:`clonelab.scf`) is asked about the summary as the
+mask of the blocks' representatives, on the profile's own core, and neither
+a summary profile nor a block name is built.  Any other callable is shown
+the summary profile with its blocks named, as :class:`_Elector` describes.
 """
 
 from __future__ import annotations
@@ -33,8 +42,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from .profiles import Profile, _codes, _kept, block_name, restrict, summarize
-from .pqtree import PQNode, _child_summary, _reading_order, build_pqtree
+from .clones import _clone_intervals
+from .profiles import Profile, _codes, _derive, _kept, block_name, restrict, summarize
+from .pqtree import _split, _stored_order
 from .scf import WinnerSet, _bits
 from .spf import _resolve_id, _rule_ids
 
@@ -85,9 +95,10 @@ class _Elector:
     first call.  Any other callable goes through an adapter that derives the
     profile it is shown and calls the rule: the profile restricted to the
     mask, its candidates named as in the profile (:func:`_kept`), or, given
-    ``blocks`` (each representative's code → its block), the block summary,
-    its candidates named by block (:func:`_child_summary`).  ``calls`` counts
-    the calls made of the entry or of the rule.
+    ``blocks`` (each representative's code → its block's name), the block
+    summary (:func:`_child_summary`).  ``masked`` tells the callers whether
+    the entry runs, so that they name blocks only for the adapter, and
+    ``calls`` counts the calls made of the entry or of the rule.
     """
 
     def __init__(self, rule: str | Rule, profile: Profile) -> None:
@@ -95,9 +106,10 @@ class _Elector:
         self.profile = profile
         self.calls = 0
         self._entry = getattr(self.rule, "_on", None)
+        self.masked = self._entry is not None
         self._bound: Callable[[int], int] | None = None
 
-    def __call__(self, mask: int, blocks: dict[int, PQNode] | None = None) -> int:
+    def __call__(self, mask: int, blocks: dict[int, str] | None = None) -> int:
         self.calls += 1
         if self._entry is not None:
             if self._bound is None:
@@ -108,9 +120,22 @@ class _Elector:
             shown = _kept(self.profile, _bits(mask))
             code_of = _codes(self.profile.candidates)
         else:
-            shown = _child_summary(self.profile, blocks.values())
-            code_of = {block.name: c for c, block in blocks.items()}
+            shown = _child_summary(self.profile, blocks)
+            code_of = {name: c for c, name in blocks.items()}
         return sum(1 << code_of[w] for w in self.rule(shown))
+
+
+def _child_summary(profile: Profile, blocks: dict[int, str]) -> Profile:
+    """The block summary of ``blocks`` (each representative's code → its
+    block's name), blocks of a partition of a node's members into clone sets.
+
+    Every ballot ranks each block consecutively, so a block sits where its
+    representative does: the summary is the profile cut down to the
+    representatives (:func:`clonelab.profiles._derive`), the blocks in the
+    order voter 1 ranks them, and its margins are those of the members.
+    """
+    keep = [c for c in profile._core.ballots[0] if c in blocks]  # voter 1's order of the blocks
+    return _derive(profile, keep, tuple(map(blocks.__getitem__, keep)))
 
 
 def composition_product(rule: str | Rule, profile: Profile, decomposition) -> WinnerSet:
@@ -130,46 +155,55 @@ def cc_transform(
 ) -> WinnerSet:
     """Winners of the clone-collapsing transform of ``rule`` on ``profile``.
 
-    Walks the PQ-tree breadth-first from the root, keeping a frontier of
-    candidate blocks still in contention; see the module docstring for the
-    P/Q branching.  ``trace``, when given a list, receives one record per
-    visited internal node: the node's members, its kind, the blocks of the
-    summary the rule was shown in voter 1's order (for a Q node, just the
-    designated first two blocks), the blocks it selected, and the number of
-    calls of the rule, or of its masked entry, made there.
+    Walks the PQ-tree's nodes, as intervals of voter 1's ranking,
+    breadth-first from the root, keeping a frontier of candidate blocks
+    still in contention; see the module docstring for the P/Q branching.
+    ``trace``, when given a list, receives one record per visited internal
+    node: the node's members, its kind, the blocks of the summary the rule
+    was shown in voter 1's order (for a Q node, just the designated first
+    two blocks), the blocks it selected, and the number of calls of the
+    rule, or of its masked entry, made there.
     """
     elect = _Elector(rule, profile)
-    code_of = _codes(profile.candidates)
-    first = profile._core.ballots[0]  # voter 1's ranking, as codes
-    winners: set[str] = set()
-    queue: deque = deque([build_pqtree(profile)])
+    core = profile._core
+    first, table, positions = _clone_intervals(profile)
+    codes = core.ballots[0]  # codes[i] is the code of first[i]
+    named = trace is not None or not elect.masked
+    winners = 0
+    queue: deque[tuple[int, int]] = deque([(0, len(first))])
     while queue:
-        node = queue.popleft()
-        if node.is_leaf:
-            winners |= node.members
+        i, j = queue.popleft()
+        if j - i == 1:
+            winners |= 1 << codes[i]
             continue
-        reading = _reading_order(node)
-        shown = node.children if node.kind == "P" else reading[:2]
-        blocks = {code_of[min(child.members)]: child for child in shown}  # representative -> block
+        kind, bounds = _split(table, i, j)
+        kids = list(zip(bounds, bounds[1:]))
+        shown = kids
+        if kind == "Q":
+            if core.rows[codes[i]][codes[bounds[1]]] < 0:  # a majority reads it back-to-front
+                kids.reverse()
+            shown = kids[:2]
+        blocks = {codes[a]: block_name(first[a:b]) for a, b in shown} if named else None
         before = elect.calls
-        won = elect(sum(1 << c for c in blocks), blocks)
-        chosen = frozenset(blocks[c].name for c in _bits(won))
-        if node.kind == "P":
-            queue.extend(child for child in node.children if child.name in chosen)
-        elif chosen == frozenset({reading[0].name}):
-            queue.append(reading[0])
-        elif chosen == frozenset({reading[1].name}):
-            queue.append(reading[-1])
+        won = elect(sum(1 << codes[a] for a, _ in shown), blocks)
+        if kind == "P":
+            if won & (won - 1):  # several children elected: visit them as the tree stores them
+                kids = _stored_order(positions, core.weights, first, bounds)
+            queue.extend(ab for ab in kids if won >> codes[ab[0]] & 1)
+        elif won == 1 << codes[kids[0][0]]:
+            queue.append(kids[0])
+        elif won == 1 << codes[kids[1][0]]:
+            queue.append(kids[-1])
         else:
-            queue.extend(node.children)
+            queue.extend(sorted(kids))
         if trace is not None:
             trace.append(
                 {
-                    "node": sorted(node.members),
-                    "kind": node.kind,
-                    "blocks": [blocks[c].name for c in first if c in blocks],
-                    "selected": sorted(chosen),
+                    "node": sorted(first[i:j]),
+                    "kind": kind,
+                    "blocks": [blocks[codes[a]] for a, _ in sorted(shown)],
+                    "selected": sorted(blocks[c] for c in _bits(won)),
                     "rule_calls": elect.calls - before,
                 }
             )
-    return frozenset(winners)
+    return frozenset(map(profile.candidates.__getitem__, _bits(winners)))

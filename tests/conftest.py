@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from clonelab.profiles import Profile, load_fixture
+from clonelab.transform import RULE_IDS
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 520
@@ -137,6 +138,13 @@ def build_game_profiles() -> list[Profile]:
             ballots.append(tuple(c for t in top for c in {"x": x, "y": y}.get(t, [t])))
         out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
     return out
+
+
+def rule_ids(n: int):
+    """Every registered winner-rule id, indexed ids at voters 1 and 2 (voter
+    2 only where there is one among ``n`` voters)."""
+    for rid in RULE_IDS:
+        yield from ([rid.replace("<i>", str(i)) for i in (1, 2)[:n]] if "<i>" in rid else [rid])
 
 
 def count_calls(codes, fn, *args):

@@ -7,6 +7,7 @@ avoiding the package's own algorithms so that agreement is evidence.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, combinations, permutations, product
 
 from clonelab.clones import clone_metric
@@ -118,6 +119,48 @@ def brute_pqtree(profile: Profile) -> PQNode:
         return PQNode(members=members, kind="P", children=tuple(build(s) for s in kids))
 
     return build(frozenset(profile.candidates))
+
+
+def brute_cc_transform(profile: Profile, rule) -> tuple[frozenset[str], list[dict]]:
+    """The clone-collapsing transform walked over :func:`brute_pqtree`.
+
+    Breadth-first from the root, P children in stored order.  At each
+    internal node the rule is shown the blocks in play, the node's children
+    at a P node and the first two in majority reading order at a Q node
+    (stored order unless it reads ``reverse`` and not ``tie``), as the
+    :func:`brute_summarize`d :func:`brute_restrict`ion of the profile to
+    their members.  Returns the winners and one record per visited node, in
+    the shape of ``cc_transform``'s trace.
+    """
+    f = resolve_rule(rule)
+    winners: set[str] = set()
+    trace = []
+    queue = deque([brute_pqtree(profile)])
+    while queue:
+        node = queue.popleft()
+        if node.kind == "leaf":
+            winners |= node.members
+            continue
+        name = {ch.members: "+".join(sorted(ch.members)) for ch in node.children}
+        reading = node.children
+        if node.kind == "Q" and node.orientation == "reverse" and not node.tie:
+            reading = reading[::-1]
+        shown = reading if node.kind == "P" else reading[:2]
+        members = frozenset().union(*(ch.members for ch in shown))
+        summary = brute_summarize(brute_restrict(profile, members), [ch.members for ch in shown])
+        chosen = f(summary)
+        if node.kind == "P":
+            queue.extend(ch for ch in node.children if name[ch.members] in chosen)
+        elif chosen == {name[reading[0].members]}:
+            queue.append(reading[0])
+        elif chosen == {name[reading[1].members]}:
+            queue.append(reading[-1])
+        else:
+            queue.extend(node.children)
+        trace.append({"node": sorted(node.members), "kind": node.kind,
+                      "blocks": list(summary.candidates), "selected": sorted(chosen),
+                      "rule_calls": 1})
+    return frozenset(winners), trace
 
 
 def brute_margins(profile: Profile) -> dict[tuple[str, str], int]:

@@ -209,3 +209,33 @@ def test_tree_walk_distances_match_clone_metric(corpus, fixtures):
         assert _clone_distances(build_pqtree(p)) == {
             (a, b): clone_metric(p, a, b) for a in p.candidates for b in p.candidates
         }, p
+
+
+def _shape(node, rename):
+    """The tree with every member renamed; P children as a set, since their
+    stored order breaks ties by name."""
+    kids = [_shape(child, rename) for child in node.children]
+    return (
+        frozenset(map(rename.__getitem__, node.members)),
+        node.kind,
+        node.orientation,
+        node.tie,
+        tuple(kids) if node.kind == "Q" else frozenset(kids),
+    )
+
+
+def test_renamed_profiles_share_a_table_and_keep_their_names(corpus, fixtures):
+    """The interval table is kept by places alone, so a profile renamed, and
+    listed in another order, reads the same entry: its clone structure and
+    tree are the original's under the renaming."""
+    for p in [*corpus[:150], *fixtures.values()]:
+        rename = {c: f"r{c}" for c in p.candidates}
+        same = {rename[c]: rename[c] for c in p.candidates}
+        q = Profile(
+            candidates=tuple(map(rename.__getitem__, reversed(p.candidates))),
+            groups=tuple((tuple(map(rename.__getitem__, r)), k) for r, k in p.groups),
+        )
+        want = frozenset(frozenset(map(rename.__getitem__, k)) for k in clone_structure(p))
+        assert tuple(q._core.positions()) == tuple(p._core.positions())  # one table entry
+        assert clone_structure(q) == want, p
+        assert _shape(build_pqtree(q), same) == _shape(build_pqtree(p), rename), p

@@ -24,9 +24,9 @@ from clonelab.profiles import (
     summarize,
 )
 from clonelab.clones import enumerate_decompositions
-from clonelab.pqtree import _child_summary, build_pqtree, internal_nodes
+from clonelab.pqtree import build_pqtree, internal_nodes
 from clonelab.scf import rp_i, rp_i_ranking, stv_i, stv_i_ranking
-from clonelab.transform import cc_transform
+from clonelab.transform import _child_summary, cc_transform
 
 
 def test_parse_basic():
@@ -366,6 +366,14 @@ def _core_fields(core):
     return core.ballots, core.weights, core.slots, core.rows
 
 
+def _blocks(p, node):
+    """Each child block of a tree node by its representative's code, the
+    code of the member voter 1 ranks first, mapped to the block's name."""
+    code_of = {c: k for k, c in enumerate(p.candidates)}
+    first = p.groups[0][0]
+    return {code_of[min(child.members, key=first.index)]: child.name for child in node.children}
+
+
 def _derived_checking_rows(base, derive, *args):
     """``derive(base, *args)``, checking that the derived core has margin rows
     exactly when base had them at derivation, and that base gains none."""
@@ -404,7 +412,7 @@ def _assert_derived_cores_match_rebuilt(p):
         derived += [_derived_checking_rows(base, restrict, keep) for k in range(1, base.m + 1)
                     for keep in combinations(base.candidates, k)]
         nodes = internal_nodes(build_pqtree(base))
-        derived += [_derived_checking_rows(base, _child_summary, node.children) for node in nodes]
+        derived += [_derived_checking_rows(base, _child_summary, _blocks(base, node)) for node in nodes]
         for q in derived:
             want = _core_fields(_Core(Profile(q.candidates, q.groups)))
             assert _core_fields(q._core) == want, (p, q)
@@ -469,7 +477,7 @@ def test_derived_cores_past_one_byte_codes():
             _derived_checking_rows(base, restrict, cands),
             _derived_checking_rows(base, restrict, ranking[::37]),
             _derived_checking_rows(base, remove_candidates, ranking[:3]),
-            _derived_checking_rows(base, _child_summary, tree.children),
+            _derived_checking_rows(base, _child_summary, _blocks(base, tree)),
         ]
         for q in derived:
             assert _core_fields(q._core) == _core_fields(_Core(Profile(q.candidates, q.groups)))
@@ -503,7 +511,7 @@ def _assert_derivations_match_brute(p, subsets):
         for node in internal_nodes(build_pqtree(base)):
             blocks = [child.members for child in node.children]
             want = brute_summarize(brute_restrict(p, node.members), blocks)
-            assert _child_summary(base, node.children) == want, (p, node)
+            assert _child_summary(base, _blocks(base, node)) == want, (p, node)
 
 
 def test_derivations_match_name_level_oracles(corpus, fixtures):

@@ -29,8 +29,9 @@ from clonelab.scf import (
     uc_fishburn,
     uc_gillies,
 )
-from clonelab.transform import RULE_IDS, resolve_rule
+from clonelab.transform import resolve_rule
 
+from conftest import rule_ids
 from oracles import (
     brute_restrict,
     brute_summarize,
@@ -281,13 +282,6 @@ def test_first_place_counts_sum_to_n(corpus):
         assert sum(first_place_counts(p).values()) == p.n
 
 
-def _masked_ids(n):
-    """Every registered winner-rule id, indexed ids at voters 1 and 2 (voter
-    2 only where there is one)."""
-    for rid in RULE_IDS:
-        yield from ([rid.replace("<i>", str(i)) for i in (1, 2)[:n]] if "<i>" in rid else [rid])
-
-
 def test_masked_entries_match_name_level_oracles(corpus, fixtures):
     """Each registered rule's masked entry, bound to a profile, elects on
     every field's mask what the rule elects on the restriction the oracles
@@ -297,7 +291,7 @@ def test_masked_entries_match_name_level_oracles(corpus, fixtures):
     for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:80]:
         code_of = {c: k for k, c in enumerate(p.candidates)}
         nodes = internal_nodes(build_pqtree(p))
-        for rid in _masked_ids(p.n):
+        for rid in rule_ids(p.n):
             f = resolve_rule(rid)
             on = f._on(p)
             for k in range(1, p.m + 1):

@@ -1,10 +1,14 @@
 """The clone-collapsing transform and two-level composition."""
 
+import gc
+import weakref
+
 import pytest
 
 from clonelab.clones import clone_structure
+from clonelab.games import GameSpec
 from clonelab.profiles import add_voter, load_fixture, parse_profile, remove_candidates
-from clonelab.pqtree import build_pqtree, internal_nodes, serialize_tree
+from clonelab.pqtree import PQNode, build_pqtree, internal_nodes, serialize_tree
 from clonelab.scf import pv, rp_i, stv, uc_gillies
 from clonelab.transform import (
     RULE_IDS,
@@ -14,7 +18,8 @@ from clonelab.transform import (
     rule_label,
 )
 
-from conftest import count_calls
+from conftest import count_calls, rule_ids
+from oracles import brute_cc_transform
 
 
 def K(*blocks):
@@ -141,6 +146,45 @@ def test_q_node_second_block_walks_to_the_far_end():
     assert resolve_rule("rp_i:1^cc")(p) == {"a"}
     assert resolve_rule("pv^cc")(p) == {"a", "b", "c"}  # a tie descends into every block
     assert resolve_rule("rp_i:2^cc")(parse_profile("1: a>b>c>d\n1: d>c>b>a\n")) == {"d"}
+
+
+def test_cc_transform_matches_tree_walk_oracle(corpus, fixtures):
+    """Winners and trace, record for record, equal a walk of the tree read
+    off the definition over name-level block summaries, for every registered
+    rule.  The ties of pv and stv run a P node electing several children, in
+    stored order, and a Q node keeping every child."""
+    ran = set()
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:120]:
+        for rid in rule_ids(p.n):
+            trace = []
+            winners = cc_transform(rid, p, trace)
+            assert (winners, trace) == brute_cc_transform(p, rid), (rid, p)
+            for rec in trace:
+                if len(rec["selected"]) > 1:
+                    ran.add(rec["kind"])
+    assert ran == {"P", "Q"}
+
+
+def test_transform_builds_no_tree_and_pins_no_profile():
+    """The walk splits intervals of the clone table: it neither builds nor
+    looks up a PQ-tree, and keeps no reference to the profile.  A game of an
+    opaque ^cc callable looks up one tree, its own, whatever its fields."""
+    text = "2: a>b1>b2>c>d\n1: d>c>b2>b1>a\n1: c>b1>b2>d>a\n"
+    for rule in ("stv", "rp_i:1", "pv^cc", lambda q: stv(q)):
+        p = parse_profile(text)
+        before = build_pqtree.cache_info()
+        won, made = count_calls((PQNode.__init__.__code__,), cc_transform, rule, p)
+        assert won and made[PQNode.__init__.__code__] == 0, rule
+        assert build_pqtree.cache_info() == before, rule
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None, rule
+    p = parse_profile(text)
+    before = build_pqtree.cache_info()
+    GameSpec(p, lambda q: cc_transform("stv_i:1", q))
+    after = build_pqtree.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
 
 def test_clone_independent_rules_are_fixed_points(corpus):
