@@ -8,7 +8,17 @@ capped search is *inconclusive*, never a pass.
 
 The clone-aware axiom variants (``clone_aware=True``, the default) quantify
 only over changes that leave the profile's clone structure intact; the plain
-variants drop that restriction.
+variants drop that restriction.  Monotonicity and ISDA compare each changed
+profile's clone structure with the profile's, since a promotion or deletion
+can create clone sets.  A joining ballot can only remove them, so clone-aware
+participation compares no structures: it grows just the rankings on which
+every clone set of the profile is consecutive (the frontiers of its PQ-tree,
+Elkind, Faliszewski & Slinko), where plain participation tries all m!.  Each
+joined profile takes its core from the profile's
+(:func:`clonelab.profiles.add_voter`).
+
+Checks over many removals or decompositions of one profile compute each
+removal's (``ioc``, ``ioc_spf``) or each block's (``cc``) winners once.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from itertools import chain, permutations, product
 from .clones import EnumerationCapExceeded, clone_structure, enumerate_decompositions
 from .profiles import (
     Profile,
+    _codes,
     add_voter,
     block_name,
     remove_candidates,
@@ -29,7 +40,7 @@ from .profiles import (
 )
 from .scf import condorcet_winner, smith
 from .spf import neg, resolve_spf
-from .transform import composition_product, resolve_rule
+from .transform import _composed, resolve_rule
 
 __all__ = [
     "AxiomVerdict",
@@ -114,8 +125,9 @@ def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
         decompositions = enumerate_decompositions(profile, cap)
     except EnumerationCapExceeded as exc:
         return AxiomVerdict("cc", None, detail=str(exc))
+    inner = cache(lambda block: f(restrict(profile, block)))  # decompositions share blocks
     for blocks in decompositions:
-        composed = composition_product(f, profile, blocks)
+        composed = _composed(f, profile, blocks, inner)
         if composed != winners:
             return AxiomVerdict(
                 "cc",
@@ -201,17 +213,17 @@ def check_participation_ca(rule, profile: Profile, *, clone_aware: bool = True) 
     For every possible new ballot r, the r-favourite among the winners after
     joining must be at least as good (by r) as the r-favourite before.  The
     clone-aware variant only considers ballots preserving the clone
-    structure.
+    structure: the rankings that keep every clone set of the profile
+    consecutive, grown by :func:`_whole_rankings` in the order
+    ``permutations(profile.candidates)`` would list them, so its witness is
+    the first failing one of those m!.
     """
     axiom = "part_ca" if clone_aware else "part"
     f = resolve_rule(rule)
     winners = f(profile)
-    structure = clone_structure(profile) if clone_aware else None
-    for ranking in permutations(profile.candidates):
-        bigger = add_voter(profile, ranking)
-        if clone_aware and clone_structure(bigger) != structure:
-            continue
-        new_winners = f(bigger)
+    joining = _whole_rankings(profile) if clone_aware else permutations(profile.candidates)
+    for ranking in joining:
+        new_winners = f(add_voter(profile, ranking))
         pos = {c: k for k, c in enumerate(ranking)}
         favourite_before = min(winners, key=pos.__getitem__)
         favourite_after = min(new_winners, key=pos.__getitem__)
@@ -228,6 +240,37 @@ def check_participation_ca(rule, profile: Profile, *, clone_aware: bool = True) 
                 },
             )
     return AxiomVerdict(axiom, True)
+
+
+def _whole_rankings(profile: Profile):
+    """Every ranking of the candidates on which each clone set of the profile
+    is consecutive, in the order of ``permutations(profile.candidates)``."""
+    code_of = _codes(profile.candidates)
+    sets = [sum(1 << code_of[c] for c in k) for k in _nontrivial_clone_sets(profile)]
+    return _grow(profile.candidates, sets, 0, [])
+
+
+def _grow(names, sets, placed: int, order: list):
+    """The completions of the prefix ``order`` (its codes: the mask
+    ``placed``) that keep every clone set of ``sets`` (masks) consecutive.
+
+    Candidates are tried in code order; the next one must lie in every set
+    the prefix has begun but not finished.  A prefix inside two overlapping
+    sets that both need finishing first has no completion.
+    """
+    m = len(names)
+    if len(order) == m:
+        yield tuple(order)
+        return
+    allowed = (1 << m) - 1 & ~placed
+    for k in sets:
+        if k & placed and k & ~placed:  # begun, not finished
+            allowed &= k
+    for c in range(m):
+        if allowed >> c & 1:
+            order.append(names[c])
+            yield from _grow(names, sets, placed | 1 << c, order)
+            order.pop()
 
 
 def _structure_minus(structure, a: str):

@@ -7,10 +7,10 @@ then within-group repetition), so voter-indexed rules have a stable meaning
 after any of the transformations here: none of them merge or reorder groups.
 
 Under the public groups each profile keeps a private integer core, built on
-first use (at derivation for a derived profile, below) and then kept with
-the profile (it takes no part in equality, hashing or repr).  It holds no
-names, coding each candidate by its place in ``candidates`` (names become
-codes where they come in, by :func:`_codes`), and holds the distinct
+first use (at derivation for a derived or joined profile, below) and then
+kept with the profile (it takes no part in equality, hashing or repr).  It
+holds no names, coding each candidate by its place in ``candidates`` (names
+become codes where they come in, by :func:`_codes`), and holds the distinct
 rankings as code sequences with their voter counts, in order of first
 appearance (voter 1's ranking first), and the margin rows every pairwise
 rule reads.  The rows come from a packed-integer kernel: with a field of
@@ -32,6 +32,11 @@ every group keeping its multiplicity and place.  Its margin rows are the
 submatrix of the base's, cut at derivation when the base has them, and are
 otherwise counted on first read: a derivation never counts the base's.
 
+A profile joined by one more voter (:func:`add_voter`) takes the base's core
+the same way: the ballot is coded once and counted into it, and the margin
+rows, when the base has them, are the base's plus that ballot's ±1 on each
+pair.  Every other profile builds its core from its groups.
+
 The text format accepted by :func:`parse_profile`::
 
     # comment
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Ranking = tuple[str, ...]
@@ -472,11 +477,43 @@ def reverse_profile(profile: Profile) -> Profile:
 
 
 def add_voter(profile: Profile, ranking: Sequence[str]) -> Profile:
-    """Append one voter with the given ranking; they become voter ``n + 1``."""
-    return Profile(
-        candidates=profile.candidates,
-        groups=profile.groups + ((tuple(ranking), 1),),
-    )
+    """Append one voter with the given ranking; they become voter ``n + 1``.
+
+    Only the new ballot is checked (a bad one raises as :class:`Profile`
+    would).  The joined profile's core is the base's with that ballot
+    counted once more: its ranking's weight goes up by one, or it is
+    appended with weight 1, and the new group gets its slot.  When the base
+    has margin rows, the joined rows are those plus the ballot's ±1 on each
+    pair; otherwise they are counted on first read.  The base's rows are
+    never counted here.
+    """
+    ranking = tuple(ranking)
+    groups = profile.groups + ((ranking, 1),)
+    code_of = _codes(profile.candidates)
+    if len(ranking) != len(code_of) or code_of.keys() != set(ranking):
+        return Profile(profile.candidates, groups)  # raises the check's error
+    base = profile._core
+    ballot = (bytes if len(code_of) <= 256 else tuple)(map(code_of.__getitem__, ranking))
+    core = _Core.__new__(_Core)
+    if ballot in base.ballots:
+        slot = base.ballots.index(ballot)
+        core.ballots = base.ballots
+        core.weights = (*base.weights[:slot], base.weights[slot] + 1, *base.weights[slot + 1 :])
+    else:
+        slot = len(base.ballots)
+        core.ballots = (*base.ballots, ballot)
+        core.weights = (*base.weights, 1)
+    core.slots = (*base.slots, slot)
+    core._rows = None
+    if base._rows is not None:
+        rows = [()] * len(ballot)
+        step = [1] * len(ballot)  # top to bottom: -1 for the candidates passed, +1 below
+        for c in ballot:
+            step[c] = 0
+            rows[c] = tuple(map(add, base._rows[c], step))
+            step[c] = -1
+        core._rows = tuple(rows)
+    return _derived(profile.candidates, groups, core)
 
 
 def replace_voter(profile: Profile, i: int, ranking: Sequence[str]) -> Profile:

@@ -141,13 +141,16 @@ def _child_summary(profile: Profile, blocks: dict[int, str]) -> Profile:
 def composition_product(rule: str | Rule, profile: Profile, decomposition) -> WinnerSet:
     """Two-level election: f across collapsed blocks, then f inside winners."""
     f = resolve_rule(rule)
+    return _composed(f, profile, decomposition, lambda block: f(restrict(profile, block)))
+
+
+def _composed(f: Rule, profile: Profile, decomposition, inner) -> WinnerSet:
+    """The composition product, with ``inner(block)`` giving f's winners on
+    the profile restricted to a winning block (a memo, for a caller that
+    composes over many decompositions of one profile)."""
     blocks = [frozenset(b) for b in decomposition]
-    packed = summarize(profile, blocks)
     by_name = {block_name(b): b for b in blocks}
-    winners: set[str] = set()
-    for meta in f(packed):
-        winners |= f(restrict(profile, by_name[meta]))
-    return frozenset(winners)
+    return frozenset().union(*(inner(by_name[meta]) for meta in f(summarize(profile, blocks))))
 
 
 def cc_transform(

@@ -163,6 +163,33 @@ def brute_cc_transform(profile: Profile, rule) -> tuple[frozenset[str], list[dic
     return frozenset(winners), trace
 
 
+def brute_participation(profile: Profile, rule, clone_aware: bool) -> tuple[bool, dict | None]:
+    """Participation by trying every one of the m! joining ballots in
+    ``permutations`` order, each joined profile built and validated afresh
+    from name tuples; the clone-aware form skips the ballots whose joined
+    profile has other clone sets than the profile (:func:`brute_clone_sets`).
+    Returns whether it holds and the first failing ballot's witness."""
+    f = resolve_rule(rule)
+    winners = f(profile)
+    structure = brute_clone_sets(profile) if clone_aware else None
+    for ranking in permutations(profile.candidates):
+        joined = Profile(profile.candidates, profile.groups + ((ranking, 1),))
+        if clone_aware and brute_clone_sets(joined) != structure:
+            continue
+        new_winners = f(joined)
+        before = min(winners, key=ranking.index)
+        after = min(new_winners, key=ranking.index)
+        if ranking.index(before) < ranking.index(after):
+            return False, {
+                "ballot": list(ranking),
+                "favourite_before": before,
+                "favourite_after": after,
+                "winners": sorted(winners),
+                "new_winners": sorted(new_winners),
+            }
+    return True, None
+
+
 def brute_margins(profile: Profile) -> dict[tuple[str, str], int]:
     """margin(a, b) for every ordered pair, the diagonal included, counted
     voter by voter from where each ballot places a and b."""

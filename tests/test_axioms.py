@@ -2,8 +2,12 @@
 re-verification, and the implication laws between the checks."""
 
 import dataclasses
+import random
+from math import factorial, prod
 
 import pytest
+from conftest import count_calls, rule_ids
+from oracles import brute_participation
 
 from clonelab.axioms import (
     AxiomVerdict,
@@ -17,12 +21,17 @@ from clonelab.axioms import (
     check_participation_ca,
     check_smith,
 )
-from clonelab.clones import clone_structure
+from clonelab.clones import clone_structure, enumerate_decompositions
+from clonelab.pqtree import build_pqtree, internal_nodes
 from clonelab.profiles import (
+    Profile,
     add_voter,
+    block_name,
     parse_profile,
     remove_candidates,
     replace_voter,
+    restrict,
+    summarize,
 )
 from clonelab.scf import smith
 from clonelab.spf import resolve_spf
@@ -206,6 +215,94 @@ def test_participation_pinned_ballot(fixtures):
     rule = resolve_rule("pv^cc")
     assert rule(p6) == {"a1"}
     assert rule(add_voter(p6, ("a1", "b", "a2", "a3"))) == {"a3"}
+
+
+def test_participation_matches_brute(corpus, fixtures):
+    """Both forms, for every registered rule, give the verdict and witness of
+    trying all m! joining ballots on profiles built afresh, the clone-aware
+    form keeping those whose joined profile has the same clone sets by
+    subset enumeration."""
+    failed = set()
+    for p in [*fixtures.values(), *corpus[:24]]:
+        for rid in [*rule_ids(p.n), "pv^cc"]:
+            for clone_aware in (False, True):
+                v = check_participation_ca(rid, p, clone_aware=clone_aware)
+                want = brute_participation(p, rid, clone_aware)
+                assert (v.holds, v.witness) == want, (rid, clone_aware, p)
+                if not v.holds:
+                    failed.add(clone_aware)
+    assert failed == {False, True}  # witnesses of both forms were compared
+
+
+def _planted_m8() -> Profile:
+    """Fifteen voters over eight candidates: {x1, x2, x3} in any order,
+    y1>y2>y3 forward or reversed, the blocks and a, b shuffled around them."""
+    rng = random.Random(8)
+    ballots = []
+    for _ in range(15):
+        x = rng.sample(["x1", "x2", "x3"], 3)
+        y = ["y1", "y2", "y3"] if rng.random() < 0.5 else ["y3", "y2", "y1"]
+        top = rng.sample(["a", "b", "x", "y"], 4)
+        ballots.append(tuple(c for t in top for c in {"x": x, "y": y}.get(t, [t])))
+    return Profile(candidates=tuple(sorted(ballots[0])), groups=tuple((b, 1) for b in ballots))
+
+
+def test_clone_aware_participation_tries_only_the_tree_frontiers(monkeypatch):
+    """At m=8 the clone-aware check calls the rule once on the profile and
+    once per ranking that keeps every clone set whole, the PQ-tree's
+    frontiers (k! orders at a P node of k children, two at a Q node), not
+    all 8!, and computes no clone structure but the profile's."""
+    p = _planted_m8()
+    tree = build_pqtree(p)
+    frontiers = prod(
+        factorial(len(node.children)) if node.kind == "P" else 2 for node in internal_nodes(tree)
+    )
+    structures = []
+
+    def counted_structure(profile):
+        structures.append(profile)
+        return clone_structure(profile)
+
+    monkeypatch.setattr("clonelab.axioms.clone_structure", counted_structure)
+    pv = resolve_rule("pv")
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return pv(profile)
+
+    assert check_participation_ca(counted, p).holds is True
+    assert len(calls) == 1 + frontiers
+    assert len({q.groups[-1][0] for q in calls[1:]}) == frontiers  # each ballot once
+    assert 2 < frontiers < factorial(8) // 100
+    assert structures == [p]
+
+
+def test_cc_elects_each_block_once():
+    """On a string profile every interval is a clone set, so decompositions
+    share blocks; the check calls the rule once on the profile, once per
+    decomposition's summary, and once per distinct block some summary
+    elected."""
+    p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
+    pv = resolve_rule("pv")
+    decompositions = enumerate_decompositions(p)
+    elected = {
+        frozenset(b)
+        for blocks in decompositions
+        for b in blocks
+        if block_name(b) in pv(summarize(p, blocks))
+    }
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return pv(profile)
+
+    verdict, restrictions = count_calls((restrict.__code__,), check_cc, counted, p)
+    assert verdict.holds is True
+    assert restrictions[restrict.__code__] == len(elected)
+    assert len(calls) == 1 + len(decompositions) + len(elected)
+    assert len(elected) < sum(len(blocks) for blocks in decompositions)
 
 
 def test_isda(fixtures):

@@ -451,11 +451,8 @@ def test_derived_cores_merge_rankings_and_keep_voter_indices():
         assert _core_fields(r._core) == _core_fields(_Core(Profile(r.candidates, r.groups)))
 
 
-def test_derived_cores_past_one_byte_codes():
-    """A 257-candidate base codes rankings as tuples; profiles derived from
-    it code theirs as bytes up to 256 candidates and as tuples above, as a
-    rebuilt profile would, and name their groups as the oracles do.  A
-    planted block gives summaries that merge some of its rankings."""
+def _past_one_byte_codes():
+    """A 257-candidate profile, voter 1's ranking and a block planted in it."""
     cands = tuple(f"c{k}" for k in range(257))
     rng = random.Random(9)
     ranking, other = tuple(rng.sample(cands, 257)), tuple(rng.sample(cands, 257))
@@ -467,6 +464,16 @@ def test_derived_cores_past_one_byte_codes():
         candidates=cands,
         groups=((ranking, 2), (ranking[::-1], 1), (other, 1), (swapped, 1), (ranking, 1)),
     )
+    return p, ranking, block
+
+
+def test_derived_cores_past_one_byte_codes():
+    """A 257-candidate base codes rankings as tuples; profiles derived from
+    it code theirs as bytes up to 256 candidates and as tuples above, as a
+    rebuilt profile would, and name their groups as the oracles do.  A
+    planted block gives summaries that merge some of its rankings."""
+    p, ranking, block = _past_one_byte_codes()
+    cands = p.candidates
     tree = build_pqtree(p)
     for rows_first in (False, True):
         base = Profile(p.candidates, p.groups)
@@ -485,6 +492,69 @@ def test_derived_cores_past_one_byte_codes():
         assert isinstance(derived[1]._core.ballots[0], tuple)
     subsets = [cands, ranking[::37], ranking[:256], ranking[1:], cands[:2], block, (cands[5],)]
     _assert_derivations_match_brute(p, subsets)
+
+
+def _assert_joined_cores_match_rebuilt(p, rankings):
+    """Each ranking joined to p, and a second ranking joined to that, before
+    and after p's margin rows exist, gives the core a profile rebuilt from
+    the joined groups has; the joined core has margin rows exactly when its
+    base had them, and the base's core is left as it was."""
+    for rows_first in (False, True):
+        base = Profile(p.candidates, p.groups)  # a fresh core, rows not counted yet
+        if rows_first:
+            base._core.rows
+        core = base._core
+        before = (core.ballots, core.weights, core.slots, core._rows)
+        for r, s in zip(rankings, rankings[1:] + rankings[:1]):
+            q = _derived_checking_rows(base, add_voter, r)
+            qq = _derived_checking_rows(q, add_voter, s)
+            for joined in (q, qq):
+                want = _core_fields(_Core(Profile(joined.candidates, joined.groups)))
+                assert _core_fields(joined._core) == want, (p, r, s)
+            assert base._core is core
+            assert (core.ballots, core.weights, core.slots, core._rows) == before
+
+
+def test_joined_cores_match_rebuilt_cores(corpus, fixtures):
+    """Ballots the base holds (each group's) and ballots it may not (their
+    reversals, and voter 1's rotated) are joined as a rebuilt profile would
+    count them."""
+    new = 0
+    for p in [*corpus, *fixtures.values()]:
+        held = [r for r, _ in p.groups]
+        first = held[0]
+        rankings = [*held, *(r[::-1] for r in held), first[1:] + first[:1]]
+        _assert_joined_cores_match_rebuilt(p, rankings)
+        new += sum(r not in held for r in rankings)
+    assert new
+
+
+def test_joined_cores_past_one_byte_codes():
+    p, ranking, block = _past_one_byte_codes()
+    rankings = [ranking, ranking[::-1], ranking[1:] + ranking[:1], p.groups[2][0]]
+    _assert_joined_cores_match_rebuilt(p, rankings)
+    joined = add_voter(p, ranking[1:] + ranking[:1])
+    assert isinstance(joined._core.ballots[-1], tuple) and len(joined._core.ballots) == 5
+
+
+@pytest.mark.parametrize(
+    "ballot, message",
+    [
+        (("a", "b"), "ballot is missing candidate(s) ['c']"),
+        (("a", "b", "b"), "duplicate candidate in ballot ('a', 'b', 'b')"),
+        (("a", "b", "z"), "unknown candidate(s) ['z'] in ballot"),
+        (("a", "b", "c", "z"), "unknown candidate(s) ['z'] in ballot"),
+    ],
+)
+def test_add_voter_rejects_a_bad_ballot_as_a_profile_would(ballot, message):
+    p = parse_profile("candidates: a,b,c\n2: a>b>c\n1: c>b>a\n")
+    p._core.rows
+    with pytest.raises(ProfileParseError) as caught:
+        add_voter(p, ballot)
+    assert str(caught.value) == message
+    with pytest.raises(ProfileParseError) as built:
+        Profile(p.candidates, p.groups + ((ballot, 1),))
+    assert str(built.value) == message
 
 
 def _assert_derivations_match_brute(p, subsets):
