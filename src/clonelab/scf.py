@@ -31,14 +31,18 @@ Smith and Schwartz sets and ``rp_i`` read the rows at the mask's codes; the
 others run on the rows cut to the mask, and on the rows themselves,
 uncopied, when the mask is full.
 
-Both ranked-pairs flavours share one lock step over candidate codes: the
-locked graph is kept as its closure, one bitmask per candidate of everyone
-it leads to, so a pair is tested with one bit and locked with one pass, and
-the order is read off by how many each candidate leads to.  ``rp_i`` locks
-in voter i's priority order, sorting only the pairs inside the mask.
-``rp_put`` searches closures, not sets of locked pairs.  PUT winner
-determination is NP-complete (Brill & Fischer, AAAI 2012), and the search
-has no cap.
+``rp_i`` locks pairs over candidate codes: the locked graph is kept as its
+closure, one bitmask per candidate of everyone it leads to, so a pair is
+tested with one bit and locked with one pass, and the order is read off by
+how many each candidate leads to; pairs are locked in voter i's priority
+order, sorting only the pairs inside the mask.  ``rp_put`` locks nothing:
+some tie order reaches a ranking exactly when it is a *weak stack* (Zavist &
+Tideman 1989), every x above y joined by a chain descending through it whose
+every link has margin at least margin(y, x).  The chain runs between x and
+y, so a weak stack's prefixes are weak stacks, and a depth-first search
+grows them top-down, never placing y above an x whose margin over y beats
+every path from y back to x.  PUT winner determination is NP-complete
+(Brill & Fischer, AAAI 2012), and the search has no cap.
 
 The elimination rules (``stv``, ``stv_i``, ``alt_smith`` here; ``stv*``,
 ``nr``, ``nr_i`` and ``nnr_i`` in :mod:`clonelab.spf`) share one engine on
@@ -428,75 +432,67 @@ def rp_i(profile: Profile, i: int) -> Callable[[int], int]:
     return lambda mask: 1 << _rp_i_order(rows, mask, seat)[0]
 
 
-def _lock_acyclic(reach: tuple[int, ...], group: list[tuple[int, int]]) -> tuple[int, ...]:
-    """``reach`` with every pair of ``group`` locked that lies on no cycle of
-    the locked graph and the whole group: no order of the group can find
-    such a pair closing a cycle, so every order locks it."""
-    whole = reach
-    for a, b in group:
-        whole = _lock(whole, a, b)
-    for a, b in group:
-        if not whole[b] >> a & 1:
-            reach = _lock(reach, a, b)
-    return reach
+def _weak_stacks(rows, above, order: list[int], left: int, wide):
+    """Every weak stack on the margin rows ``rows`` that begins with
+    ``order`` and ranks the codes of ``left`` below it, grown top-down in
+    code order (see the module notes).
 
-
-def _put_closures(rows) -> set[tuple[int, ...]]:
-    """The closures of every ranked-pairs order reachable by some
-    tie-breaking order on the margin rows ``rows``.
-
-    Pairs are taken a margin group at a time, largest first.  Processing a
-    group in some order locks a maximal set of its pairs that closes no
-    cycle, and which later pairs lock depends only on the closure so far,
-    so the search keeps distinct closures and, from each, locks every open
-    pair of the group in turn until none is open.  Two shortcuts keep it
-    small.  A pair on no cycle of the locked graph and the whole group is
-    locked by every order, so it is locked at once.  At margin 0 every
-    order ends with an open pair locked one way or the other, and the ends
-    with a→b are those of locking a→b first, so the search branches on one
-    open pair's two orientations only.
+    ``wide[x][z]`` is, for placed x, the widest chain from x to z descending
+    through the candidates placed after x; for unplaced x it is ``rows[x]``.
+    The next y needs ``wide[x][y] >= rows[y][x]`` for every placed x, and
+    no code of ``above[y]`` (see :func:`_must_be_above`) left to place.
     """
-    by_margin: dict[int, list[tuple[int, int]]] = {}
-    for a, row in enumerate(rows):
-        for b, w in enumerate(row):
-            if a != b and w >= 0:
-                by_margin.setdefault(w, []).append((a, b))
-    states = {(0,) * len(rows)}
-    for margin in sorted(by_margin, reverse=True):
-        group = by_margin[margin]
-        stack = [_lock_acyclic(reach, group) for reach in states]
-        seen = set(stack)
-        states = set()
-        while stack:
-            reach = stack.pop()
-            pairs = [(a, b) for a, b in group if _open(reach, a, b)]
-            if not pairs:
-                states.add(reach)
-            elif margin == 0:  # the group holds both orientations of each pair
-                a, b = pairs[0]
-                pairs = [(a, b), (b, a)]
-            for nxt in (_lock(reach, a, b) for a, b in pairs):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return states
+    if not left:
+        yield order
+        return
+    for y in _bits(left):
+        if above[y] & left:
+            continue
+        ry = rows[y]
+        for x in reversed(order):
+            if wide[x][y] < ry[x]:
+                break
+        else:
+            rest = left & ~(1 << y)
+            below = _bits(rest)
+            grown = list(wide)
+            for x in order:
+                wx = list(wide[x])
+                wxy = wx[y]
+                for z in below:
+                    through = wxy if wxy < ry[z] else ry[z]
+                    if through > wx[z]:
+                        wx[z] = through
+                grown[x] = wx
+            yield from _weak_stacks(rows, above, order + [y], rest, grown)
+
+
+def _must_be_above(rows) -> list[int]:
+    """``above[y]``: bit x set when ``rows[x][y]`` beats every path from y
+    back to x, so x is above y in every weak stack."""
+    s = _widest_paths(rows)
+    return [sum(1 << x for x, rx in enumerate(rows) if rx[y] > sy[x]) for y, sy in enumerate(s)]
 
 
 def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
-    """Every ranked-pairs order reachable by some tie-breaking order."""
-    cands, full = profile.candidates, _full(profile)
+    """Every ranked-pairs order reachable by some tie-breaking order: the
+    weak stacks of :func:`_weak_stacks`."""
+    cands, rows = profile.candidates, profile._core.rows
     return frozenset(
-        tuple(cands[c] for c in _order(reach, full)) for reach in _put_closures(profile._core.rows)
+        tuple(cands[c] for c in order)
+        for order in _weak_stacks(rows, _must_be_above(rows), [], _full(profile), rows)
     )
 
 
 @_masked
 def rp_put(profile: Profile) -> Callable[[int], int]:
-    """Ranked pairs, parallel-universe over all pair-processing orders."""
+    """Ranked pairs, parallel-universe over all pair-processing orders: c
+    wins when some weak stack ranks c on top."""
 
-    def winners(rows) -> set[int]:
-        full = (1 << len(rows)) - 1
-        return {_order(reach, full)[0] for reach in _put_closures(rows)}
+    def winners(rows) -> list[int]:
+        above, full = _must_be_above(rows), (1 << len(rows)) - 1
+        tops = [c for c, ac in enumerate(above) if not ac]
+        return [c for c in tops if next(_weak_stacks(rows, above, [c], full & ~(1 << c), rows), None)]
 
     return _on_margins(profile, winners)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -117,6 +118,18 @@ def build_small_profiles() -> list[Profile]:
             ballots = [tuple(rng.sample(cands, m)) for _ in range(n)]
             out.append(Profile(candidates=cands, groups=tuple((b, 1) for b in ballots)))
     return out
+
+
+def build_census(m: int, max_n: int) -> list[Profile]:
+    """Every profile of at most ``max_n`` voters over the first ``m`` names
+    up to renaming: voter 1 casts the identity ranking, and the other
+    voters' ballots run over every multiset of rankings."""
+    cands = tuple(_NAMES[:m])
+    return [
+        Profile(candidates=cands, groups=tuple((b, 1) for b in (cands, *others)))
+        for n in range(1, max_n + 1)
+        for others in combinations_with_replacement(permutations(cands), n - 1)
+    ]
 
 
 def build_game_profiles() -> list[Profile]:

@@ -1,6 +1,8 @@
 """Winner rules: frozen expectations on the bundled profiles plus
 oracle-equivalence and containment laws on the random corpus."""
 
+import time
+
 import pytest
 
 from clonelab.pqtree import build_pqtree, internal_nodes
@@ -31,7 +33,7 @@ from clonelab.scf import (
 )
 from clonelab.transform import resolve_rule
 
-from conftest import rule_ids
+from conftest import build_census, rule_ids
 from oracles import (
     brute_restrict,
     brute_summarize,
@@ -220,6 +222,60 @@ def test_rp_put_matches_literal_tie_order_simulation(corpus):
         assert lit == rp_put_rankings(p), p
         checked += 1
     assert checked >= 300  # the skip guard must not hollow the test out
+
+
+# An impartial m=8, n=3 profile on which the earlier search over locked-graph
+# closures took 25-67 s of CPU; its 109 rankings, recorded from that search,
+# one string of candidate indices each (c5>c7>... is "57...").
+BLOW_UP = """candidates: c0,c1,c2,c3,c4,c5,c6,c7
+1: c5>c7>c2>c0>c3>c1>c6>c4
+1: c1>c3>c7>c4>c5>c6>c0>c2
+1: c6>c2>c3>c4>c0>c7>c1>c5
+"""
+BLOW_UP_RANKINGS = """
+    01523764 01562374 01623745 15237640 15623740 16237450 23701456 23701564
+    23701645 23714560 23715640 23716450 23740156 23745016 23745601 23750164
+    23756014 23756401 23760145 23764015 23764501 37014562 37015624 37016245
+    37016452 37145620 37156240 37162450 37164520 37201456 37201564 37201645
+    37214560 37215640 37216450 37240156 37245016 37245601 37401562 37450162
+    37452016 37452160 37456201 37501624 37520164 37521640 37524016 37562014
+    37562140 37562401 37601452 37601524 37620145 37621450 37624015 37624501
+    37640152 37645201 50162374 52370164 52371640 52374016 52376014 52376401
+    56237014 56237140 56237401 60152374 62370145 62371450 62374015 62374501
+    62375014 70152364 70156234 70162345 71523640 71562340 71623450 72301456
+    72301564 72301645 72314560 72315640 72316450 72340156 72345016 72345601
+    72350164 72356014 72356401 72360145 72364015 72364501 75016234 75230164
+    75231640 75234016 75236014 75236401 75623014 75623140 75623401 76015234
+    76230145 76231450 76234015 76234501 76235014
+""".split()
+
+
+def test_rp_put_on_the_closure_search_blow_up():
+    p = parse_profile(BLOW_UP)
+    start = time.perf_counter()
+    rankings = rp_put_rankings(p)
+    winners = rp_put(p)
+    elapsed = time.perf_counter() - start
+    assert rankings == {tuple(f"c{d}" for d in r) for r in BLOW_UP_RANKINGS}
+    assert all(is_weak_stack(p, r) for r in rankings)
+    assert winners == {"c0", "c1", "c2", "c3", "c5", "c6", "c7"}
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("m, max_n, profiles, simulated", [(3, 7, 924, 924), (4, 3, 325, 316)])
+def test_rp_put_matches_the_simulation_on_the_census(m, max_n, profiles, simulated):
+    """Every profile up to renaming (see ``build_census``) against the
+    literal tie-order simulation, wherever it tries at most 20,000 orders;
+    the counts keep a skip from hollowing the test out."""
+    census = build_census(m, max_n)
+    checked = 0
+    for p in census:
+        lit = literal_ranked_pairs_orders(p, limit=20000)
+        if lit is None:
+            continue
+        assert lit == rp_put_rankings(p), p
+        checked += 1
+    assert (len(census), checked) == (profiles, simulated)
 
 
 def test_strength_matrix_matches_path_enumeration(corpus):
