@@ -360,9 +360,10 @@ def check_cc_spf(spf, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     try:
         base = fn(profile)
         decompositions = enumerate_decompositions(profile, cap)
+        ranked = cache(lambda block: fn(restrict(profile, block)))  # as in check_cc
         for blocks in decompositions:
             packed = summarize(profile, blocks)
-            inner = {block_name(b): fn(restrict(profile, b)) for b in blocks}
+            inner = {block_name(b): ranked(b) for b in blocks}
             composed: set = set()
             for meta_ranking in fn(packed):
                 for combo in product(*(inner[meta] for meta in meta_ranking)):

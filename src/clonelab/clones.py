@@ -13,8 +13,9 @@ few ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
 The table is kept, for the 256 most recent profiles, keyed by the places
 each distinct ballot gives voter 1's candidates: equal profiles built apart,
 as the axiom sweeps build them, share one entry, and the entry holds no
-profile.  The clone structure, the decompositions, the PQ-tree
-(:mod:`clonelab.pqtree`) and the transform's walk (:mod:`clonelab.transform`)
+profile.  The clone structure, the decompositions, the clone distance, the
+PQ-tree (:mod:`clonelab.pqtree`) and the walks of the transform
+(:mod:`clonelab.transform`) and of the staged game (:mod:`clonelab.games`)
 all read it.
 """
 
@@ -154,6 +155,15 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
     return ordered
 
 
+def _clone_distance(table, p: int, q: int) -> int:
+    """The clone distance between the candidates voter 1 ranks at places
+    ``p <= q``, read from the interval ``table`` of :func:`_interval_table`:
+    the length of the shortest clone interval ``[i, j)`` with
+    ``i <= p <= q < j``, minus one."""
+    ends = range(q + 1, len(table) + 1)
+    return min(j - i for i in range(p + 1) for j in ends if table[i][j]) - 1
+
+
 def clone_metric(profile: Profile, a: str, b: str) -> int:
     """Clone distance: size of the smallest clone set containing both, minus one.
 
@@ -163,7 +173,5 @@ def clone_metric(profile: Profile, a: str, b: str) -> int:
     for c in (a, b):
         if c not in profile.candidates:
             raise ValueError(f"unknown candidate {c!r}")
-    if a == b:
-        return 0
-    smallest = min(len(k) for k in clone_structure(profile) if a in k and b in k)
-    return smallest - 1
+    first, table, _ = _clone_intervals(profile)
+    return _clone_distance(table, *sorted((first.index(a), first.index(b))))

@@ -10,6 +10,7 @@ Two game forms share these utilities:
 * the one-shot form: everyone decides simultaneously, and the rule runs on
   the profile restricted to the runners;
 * the staged form: the rule's clone-collapsing transform walks the PQ-tree
+  (as intervals of voter 1's ranking, as :mod:`clonelab.transform` does)
   and a candidate is asked only when the walk reaches her parent node.  At a
   P node all leaf children are asked at once and the droppers are removed
   from the block summary before the rule picks a branch; at a Q node the
@@ -41,10 +42,16 @@ profile cut from the core with no name checks
 (:func:`clonelab.profiles._derive`), its margin rows cut from the
 profile's, counted once; a ``^cc`` rule then reads that field's own table
 of clone intervals, since removing candidates can create clone sets, and
-walks it without building a tree (:mod:`clonelab.transform`), so a game
-builds one PQ-tree, the profile's.  The clone distances come from one walk
-of that tree, O(m²), into a table of utilities by candidate code.  Plays
-are kept by the runners' mask.  Names appear only at the edges:
+walks it without building a tree (:mod:`clonelab.transform`).  The staged
+form walks the profile's own table the same way, so no game builds a
+PQ-tree: building a game splits each internal node once
+(:func:`clonelab.pqtree._split`, a Q node's children in majority reading
+order) and keeps its kind and children as intervals of voter 1's ranking.
+A P node's children need no stored order, since all its leaves are asked
+at once and the rule's choice is read by mask.  The clone distances are
+read from the same table, O(m²) per pair (:func:`clonelab.clones.clone_metric`
+reads it too), into a table of utilities by candidate code.  Plays are
+kept by the runners' mask.  Names appear only at the edges:
 :func:`utility`, :func:`lambda_play`, :class:`PlayResult` and the
 witnesses, and only :func:`utility` and :func:`lambda_play` validate their
 arguments.
@@ -56,8 +63,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
+from .clones import _clone_distance, _clone_intervals
 from .profiles import Profile, _codes
-from .pqtree import PQNode, _clone_distances, _reading_order, build_pqtree
+from .pqtree import _split
 from .scf import _bits
 from .transform import _Elector, rule_label
 
@@ -111,15 +119,15 @@ class PlayResult:
 @dataclass(frozen=True)
 class GameSpec:
     """A candidacy game: profile, decisive rule, and form ("gamma" = one-shot,
-    "lambda" = staged on the PQ-tree)."""
+    "lambda" = staged on the PQ-tree, walked as intervals of voter 1's ranking)."""
 
     profile: Profile
     rule: str | Callable
     form: str = "gamma"
     _winners: list[int] = _record(list)  # field mask -> winner's code; -1 at the empty field
     _payoff: list[list[int]] = _record(list)  # [a][w]: a's utility when w wins; 0 at w = -1
-    _code: dict[str, int] = _record()  # tree node's name -> its representative's code
-    _tree: PQNode = field(init=False, repr=False, compare=False)  # the profile's PQ-tree
+    _code: dict[str, int] = _record()  # candidate's name -> code
+    _nodes: dict = _record()  # internal node (i, j) -> (kind, children), as _split gives them
     _plays: dict[int, tuple[int, int]] = _record()  # runners' mask -> (winner's code, asked mask)
 
     def __post_init__(self) -> None:
@@ -131,22 +139,24 @@ class GameSpec:
         winners = self._winners
         winners.extend([-1] * (1 << m))
         for size in range(1, m + 1):
-            for codes in combinations(range(m), size):  # the fields, by candidate code
-                mask = sum(1 << c for c in codes)
+            for kept in combinations(range(m), size):  # the fields, by candidate code
+                mask = sum(1 << c for c in kept)
                 winners[mask] = _single_winner(profile, mask, elect(mask))
-        tree = build_pqtree(profile)
-        object.__setattr__(self, "_tree", tree)
-        code_of = _codes(profile.candidates)
-        self._payoff.extend([0] * (m + 1) for _ in range(m))  # the extra last place: nobody
-        for (a, b), d in _clone_distances(tree).items():
-            self._payoff[code_of[a]][code_of[b]] = m - d
-
-        def index(node: PQNode) -> None:
-            self._code[node.name] = code_of[min(node.members)]  # a leaf's is its candidate's
-            for child in node.children:
-                index(child)
-
-        index(tree)
+        self._code.update(_codes(profile.candidates))
+        _, table, _ = _clone_intervals(profile)
+        core = profile._core
+        codes = core.ballots[0]  # codes[i] is the code of voter 1's i-th choice
+        pay = self._payoff
+        pay.extend([0] * (m + 1) for _ in range(m))  # the extra last place: nobody
+        for p in range(m):
+            for q in range(p, m):
+                pay[codes[p]][codes[q]] = pay[codes[q]][codes[p]] = m - _clone_distance(table, p, q)
+        todo = [(0, m)]
+        while todo:
+            i, j = todo.pop()
+            if j - i > 1:
+                node = self._nodes[i, j] = _split(table, core, i, j)
+                todo.extend(node[1])
 
     @property
     def rule_name(self) -> str:
@@ -287,69 +297,60 @@ def _play(game: GameSpec, runners: int) -> tuple[int, int]:
     played = game._plays.get(runners)  # a play depends only on who runs
     if played is not None:
         return played
-    code, winners = game._code, game._winners
+    nodes, winners = game._nodes, game._winners
+    codes = game.profile._core.ballots[0]  # codes[a]: the representative of a child from place a
     asked = 0
 
-    def ask(leaf: PQNode) -> bool:
-        """Ask a leaf's candidate; True when they run."""
+    def ask(c: int) -> bool:
+        """Ask candidate ``c``; True when they run."""
         nonlocal asked
-        bit = 1 << code[leaf.name]
-        asked |= bit
-        return bool(runners & bit)
+        asked |= 1 << c
+        return bool(runners >> c & 1)
 
-    def decide(shown: list[PQNode]) -> PQNode:
-        """The block the rule picks among ``shown``: the one whose
-        representative wins the field of the representatives (see the module
-        docstring), elected when the game was built."""
-        w = winners[sum(1 << code[ch.name] for ch in shown)]
-        return next(ch for ch in shown if code[ch.name] == w)
-
-    def process(node: PQNode) -> int:
-        if node.is_leaf:  # degenerate one-candidate game
-            return code[node.name] if ask(node) else -1
-        gone: set[str] = set()  # names of children with nobody left standing
+    def process(i: int, j: int) -> int:
+        if j - i == 1:  # degenerate one-candidate game
+            return codes[i] if ask(codes[i]) else -1
+        kind, kids = nodes[i, j]
+        gone = 0  # the representatives of children with nobody left standing
         while True:
-            alive = [ch for ch in _reading_order(node) if ch.name not in gone]
+            alive = [(a, b) for a, b in kids if not gone >> codes[a] & 1]
             if not alive:
                 return -1
-            if node.kind == "P":
-                for ch in alive:
-                    if ch.is_leaf and not ask(ch):
-                        gone.add(ch.name)
-                if len(gone) == len(node.children):
+            if kind == "P":
+                for a, b in alive:
+                    if b - a == 1 and not ask(codes[a]):
+                        gone |= 1 << codes[a]
+                shown = sum(1 << codes[a] for a, _ in alive) & ~gone
+                if not shown:
                     return -1
-                chosen = decide([ch for ch in node.children if ch.name not in gone])
-                if chosen.is_leaf:
-                    return code[chosen.name]
-                sub = process(chosen)
+                # the block whose representative wins the field of the
+                # representatives (see the module docstring); a leaf left
+                # here runs, so processing it elects it
+                w = winners[shown]
+                sub = process(*next(ab for ab in alive if codes[ab[0]] == w))
                 if sub >= 0:
                     return sub
-                gone.add(chosen.name)  # that branch emptied; decide again
+                gone |= 1 << w  # that branch emptied; decide again
                 continue
             # Q node: compare the first two alive blocks in majority order,
             # then walk from the designated end.
-            if len(alive) == 1:
-                walk = alive
-            else:
-                walk = alive if decide(alive[:2]) is alive[0] else alive[::-1]
-            restart = False
-            for ch in walk:
-                if ch.is_leaf:
-                    if ask(ch):
-                        return code[ch.name]
-                    gone.add(ch.name)
-                else:
-                    sub = process(ch)
+            head = codes[alive[0][0]]
+            if len(alive) > 1 and winners[1 << head | 1 << codes[alive[1][0]]] != head:
+                alive.reverse()
+            for a, b in alive:
+                if b - a > 1:
+                    sub = process(a, b)
                     if sub >= 0:
                         return sub
-                    gone.add(ch.name)
-                    restart = True  # the string changed; compare afresh
-                    break
-            if restart:
-                continue
-            return -1  # walked the whole string without a runner
+                    gone |= 1 << codes[a]
+                    break  # the string changed; compare afresh
+                if ask(codes[a]):
+                    return codes[a]
+                gone |= 1 << codes[a]
+            else:
+                return -1  # walked the whole string without a runner
 
-    winner = process(game._tree)
+    winner = process(0, game.profile.m)
     played = game._plays[runners] = (winner, asked)
     return played
 

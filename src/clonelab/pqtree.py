@@ -30,16 +30,18 @@ falling back to stored order on a tie.  For P nodes the stored order is
 purely cosmetic, so children are arranged by a display convention:
 ascending number of last-place finishes for the block, ties by block name.
 
-The split of a node into its kind and children (:func:`_split`) and the P
-order (:func:`_stored_order`) work on intervals of the table alone, so the
-clone-collapsing transform (:mod:`clonelab.transform`) splits the nodes it
-visits by the same rules without building the tree.
+The split of a node into its kind and its children in reading order
+(:func:`_split`) and the P order (:func:`_stored_order`) work on intervals
+of the table alone, so the clone-collapsing transform
+(:mod:`clonelab.transform`) and the staged candidacy game
+(:mod:`clonelab.games`) split the nodes they visit by the same rules
+without building the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from .clones import _CACHE_SIZE, CloneDecomposition, _clone_intervals, canonical_decomposition
 from .profiles import Profile, block_name
 
@@ -70,23 +72,30 @@ class PQNode:
     def is_leaf(self) -> bool:
         return self.kind == "leaf"
 
-    @cached_property
+    @property
     def name(self) -> str:
         return block_name(self.members)
 
 
-def _split(table, i: int, j: int) -> tuple[str, list[int]]:
+def _split(table, core, i: int, j: int) -> tuple[str, list[tuple[int, int]]]:
     """The kind of the node ``[i, j)`` of the interval ``table`` (see
-    :func:`clonelab.clones._interval_table`) and its children's bounds: the
-    node's own ``i``, where each child ends, ``j`` last, in voter 1's order.
+    :func:`clonelab.clones._interval_table`) and its children ``[a, b)``:
+    a P node's in voter 1's order, a Q node's in majority reading order.
 
     The node is Q when it has a cut, its children the pieces between the
     cuts, and P otherwise, its children the longest proper clone interval
-    from ``i``, then the longest from where that one ends, and so on."""
+    from ``i``, then the longest from where that one ends, and so on.  A Q
+    node reads back-to-front when a strict majority ranks its second block
+    above its first, by the margin rows of ``core``, the profile's
+    :class:`clonelab.profiles._Core`, read only here."""
     row = table[i]
     cuts = [c for c in range(i + 1, j) if row[c] and table[c][j]]
     if cuts:
-        return "Q", [i, *cuts, j]
+        kids = list(zip([i, *cuts], [*cuts, j]))
+        codes = core.ballots[0]  # codes[i] is the code of voter 1's i-th choice
+        if core.rows[codes[i]][codes[cuts[0]]] < 0:
+            kids.reverse()
+        return "Q", kids
     bounds = [i]
     end = j - 1  # the first child must be a proper subset of the node; later ones are anyway
     while bounds[-1] < j:
@@ -95,17 +104,16 @@ def _split(table, i: int, j: int) -> tuple[str, list[int]]:
             end -= 1
         bounds.append(end)
         end = j
-    return "P", bounds
+    return "P", list(zip(bounds, bounds[1:]))
 
 
-def _stored_order(positions, weights, first, bounds: list[int]) -> list[tuple[int, int]]:
-    """A P node's children ``[a, b)``, given its ``bounds`` as :func:`_split`
-    returns them, in stored order: ascending number of voters ranking the
-    child's block last among the node's members, ties by block name.
-    ``positions`` and ``weights`` are the core's, and ``first`` is voter 1's
-    ranking."""
-    i, j = bounds[0], bounds[-1]
-    kids = list(zip(bounds, bounds[1:]))
+def _stored_order(positions, weights, first, kids: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A P node's children ``[a, b)``, given in voter 1's order as
+    :func:`_split` returns them, in stored order: ascending number of voters
+    ranking the child's block last among the node's members, ties by block
+    name.  ``positions`` and ``weights`` are the core's, and ``first`` is
+    voter 1's ranking."""
+    i, j = kids[0][0], kids[-1][1]
     owner = []  # voter 1's place -> the child there, over the node
     for k, (a, b) in enumerate(kids):
         owner += [k] * (b - a)
@@ -127,51 +135,20 @@ def build_pqtree(profile: Profile) -> PQNode:
         members = frozenset(first[i:j])
         if j - i == 1:
             return PQNode(members=members, kind="leaf")
-        kind, bounds = _split(table, i, j)
-        if kind == "Q":
-            margin = core.rows[codes[i]][codes[bounds[1]]]  # the first child's block over the second's
-            return PQNode(
-                members=members,
-                kind="Q",
-                children=tuple(build(a, b) for a, b in zip(bounds, bounds[1:])),
-                orientation="forward" if margin >= 0 else "reverse",
-                tie=margin == 0,
-            )
-        kids = _stored_order(positions, core.weights, first, bounds)
-        return PQNode(members=members, kind="P", children=tuple(build(a, b) for a, b in kids))
+        kind, kids = _split(table, core, i, j)
+        if kind == "P":
+            kids = _stored_order(positions, core.weights, first, kids)
+            return PQNode(members=members, kind="P", children=tuple(build(a, b) for a, b in kids))
+        stored = sorted(kids)  # voter 1's order
+        return PQNode(
+            members=members,
+            kind="Q",
+            children=tuple(build(a, b) for a, b in stored),
+            orientation="forward" if kids == stored else "reverse",
+            tie=core.rows[codes[i]][codes[stored[1][0]]] == 0,  # first block against second
+        )
 
     return build(0, len(first))
-
-
-def _clone_distances(node: PQNode) -> dict[tuple[str, str], int]:
-    """Every pair's clone distance, read off the tree in one walk.
-
-    Two candidates part at their lowest common ancestor.  At a P node the
-    smallest clone set holding both is the node itself; at a Q node it is the
-    run of children from one's child to the other's, since every run of Q
-    children is a clone set and none smaller holds both.
-    """
-    out: dict[tuple[str, str], int] = {}
-
-    def walk(b: PQNode) -> None:
-        if b.is_leaf:
-            (c,) = b.members
-            out[c, c] = 0
-            return
-        kids = b.children
-        for i, left in enumerate(kids):
-            size = len(left.members)
-            for right in kids[i + 1 :]:
-                size += len(right.members)
-                d = (size if b.kind == "Q" else len(b.members)) - 1
-                for x in left.members:
-                    for y in right.members:
-                        out[x, y] = out[y, x] = d
-        for child in kids:
-            walk(child)
-
-    walk(node)
-    return out
 
 
 def decomp(node: PQNode) -> CloneDecomposition:

@@ -20,9 +20,9 @@ for Q nodes).
 The walk never builds the tree.  Every node is an interval ``[i, j)`` of
 voter 1's ranking, so the walk reads the profile's table of clone intervals
 (:func:`clonelab.clones._interval_table`) and splits only the nodes it
-visits, by the rule that builds the tree (:func:`clonelab.pqtree._split`).
-A Q node reads back-to-front when a strict majority ranks its second block
-above its first; a P node's children are put in the tree's stored order
+visits, by the rule that builds the tree (:func:`clonelab.pqtree._split`),
+which reads a Q node back-to-front when a strict majority ranks its second
+block above its first; a P node's children are put in the tree's stored order
 only when the rule elects more than one of them, so that the walk and its
 trace visit them as the tree lists them.
 
@@ -179,19 +179,14 @@ def cc_transform(
         if j - i == 1:
             winners |= 1 << codes[i]
             continue
-        kind, bounds = _split(table, i, j)
-        kids = list(zip(bounds, bounds[1:]))
-        shown = kids
-        if kind == "Q":
-            if core.rows[codes[i]][codes[bounds[1]]] < 0:  # a majority reads it back-to-front
-                kids.reverse()
-            shown = kids[:2]
+        kind, kids = _split(table, core, i, j)  # a Q node's in majority reading order
+        shown = kids[:2] if kind == "Q" else kids
         blocks = {codes[a]: block_name(first[a:b]) for a, b in shown} if named else None
         before = elect.calls
         won = elect(sum(1 << codes[a] for a, _ in shown), blocks)
         if kind == "P":
             if won & (won - 1):  # several children elected: visit them as the tree stores them
-                kids = _stored_order(positions, core.weights, first, bounds)
+                kids = _stored_order(positions, core.weights, first, kids)
             queue.extend(ab for ab in kids if won >> codes[ab[0]] & 1)
         elif won == 1 << codes[kids[0][0]]:
             queue.append(kids[0])

@@ -8,9 +8,9 @@ avoiding the package's own algorithms so that agreement is evidence.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
-from clonelab.clones import clone_metric
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
 from clonelab.profiles import Profile, reverse_profile
@@ -62,6 +62,15 @@ def brute_clone_sets(profile: Profile) -> frozenset[frozenset[str]]:
         if ok:
             out.add(frozenset(members))
     return frozenset(out)
+
+
+_recent_clone_sets = lru_cache(maxsize=16)(brute_clone_sets)  # a profile's pairs share one scan
+
+
+def brute_clone_metric(profile: Profile, a: str, b: str) -> int:
+    """The clone distance by definition: the size of the smallest set of
+    :func:`brute_clone_sets` holding both ``a`` and ``b``, minus one."""
+    return min(len(k) for k in _recent_clone_sets(profile) if a in k and b in k) - 1
 
 
 def brute_pqtree(profile: Profile) -> PQNode:
@@ -602,11 +611,11 @@ def _brute_staged_play(profile: Profile, f, runners: frozenset[str]):
 
 def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     """Every candidate's candidacy verdicts, with witnesses, recomputed with
-    no memo: each one-shot field is elected afresh with :func:`brute_restrict`,
-    the rule and ``clone_metric``, and each staged play walks the PQ-tree
-    afresh over :func:`brute_summarize`.  The rule always sees a profile
-    built and validated from name tuples, whose core is its own, never one
-    cut from another profile's.
+    no memo: each one-shot field is elected afresh with :func:`brute_restrict`
+    and the rule, each utility reads :func:`brute_clone_metric`, and each
+    staged play walks the PQ-tree afresh over :func:`brute_summarize`.  The
+    rule always sees a profile built and validated from name tuples, whose
+    core is its own, never one cut from another profile's.
 
     Returns ``{candidate: ((dominant, witness), (obvious, witness))}`` for
     the one-shot form and ``{candidate: (obvious, witness)}`` for the staged
@@ -617,7 +626,7 @@ def brute_game_verdicts(profile: Profile, rule: str, form: str) -> dict:
     m = profile.m
 
     def pay(a, winner):
-        return 0 if winner is None else m - clone_metric(profile, a, winner)
+        return 0 if winner is None else m - brute_clone_metric(profile, a, winner)
 
     def elect(field):
         if not field:

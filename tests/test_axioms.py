@@ -350,6 +350,25 @@ def test_ioc_checks_remove_each_candidate_once():
         assert len(calls) == len(set(calls)) == 7, check
 
 
+def test_cc_spf_ranks_each_block_once():
+    """On a string profile every interval is a clone set, so the 32 tilings
+    share their blocks; the check ranks the profile once, each summary once
+    and each of the 21 blocks once."""
+    p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
+    decompositions = enumerate_decompositions(p)
+    blocks = {b for d in decompositions for b in d}
+    assert (len(decompositions), len(blocks)) == (32, 21)
+    for rid in ("rp*", "nr"):
+        rule, calls = resolve_spf(rid), []
+
+        def counted(profile, rule=rule):
+            calls.append(profile)
+            return rule(profile)
+
+        assert check_cc_spf(counted, p).holds is True
+        assert len(calls) == 1 + 32 + 21, rid
+
+
 def test_plain_checks_compute_no_clone_structure(fixtures, monkeypatch):
     calls = []
 

@@ -18,6 +18,7 @@ from clonelab.games import (
     lambda_play,
     utility,
 )
+from clonelab.pqtree import PQNode, build_pqtree, internal_nodes, ordered_child
 from clonelab.profiles import Profile, restrict
 from clonelab.transform import RULE_IDS, cc_transform, resolve_rule
 
@@ -241,6 +242,54 @@ def test_registered_games_run_the_masked_entry_once_per_field(fixtures):
                 assert analysed == {entry: 0, derive: 0}, (rid, p, form)
     _, transformed = count_calls((derive,), cc_transform, "rp_i:1", fixtures["P2"])
     assert transformed == {derive: 0}
+
+
+def test_games_build_no_tree(fixtures):
+    """A game walks the profile's table of clone intervals: building it and
+    analysing it neither build nor look up a PQ-tree, in either form."""
+    node = PQNode.__init__.__code__
+
+    def build_and_analyse(p, rid, form):
+        game = GameSpec(p, rid, form)
+        for a in p.candidates:
+            if form == "gamma":
+                gamma_obviously_dominant_run(game, a)
+            else:
+                lambda_obviously_dominant_run(game, a)
+
+    for p in (fixtures[f"P{k}"] for k in range(1, 10)):
+        for rid in ("rp_i:1", "stv_i:1", "stv_i:1^cc"):
+            for form in ("gamma", "lambda"):
+                before = build_pqtree.cache_info()
+                _, made = count_calls((node,), build_and_analyse, p, rid, form)
+                assert made[node] == 0, (p, rid, form)
+                assert build_pqtree.cache_info() == before, (p, rid, form)
+
+
+def test_game_nodes_are_the_tree_in_reading_order(corpus, fixtures):
+    """The staged game keeps every internal node of the profile's PQ-tree as
+    an interval of voter 1's ranking, with its kind and its children: a Q
+    node's in majority reading order, a P node's in any order.  A neutral
+    rule cannot tell a Q node's reading order from its mirror, since every
+    two children show it the same two-candidate profile up to renaming, so
+    no verdict pins that order; this does."""
+    for p in [*fixtures.values(), *corpus]:
+        place = {c: k for k, c in enumerate(p.groups[0][0])}
+
+        def span(node):
+            places = [place[c] for c in node.members]
+            return min(places), max(places) + 1
+
+        want = {}
+        for node in internal_nodes(build_pqtree(p)):
+            kids = sorted(map(span, node.children))
+            if node.kind == "Q":
+                kids = [span(ordered_child(node, k)) for k in range(1, len(kids) + 1)]
+            want[span(node)] = (node.kind, kids)
+        got = {}
+        for ij, (kind, kids) in GameSpec(p, "rp_i:1", "lambda")._nodes.items():
+            got[ij] = (kind, kids if kind == "Q" else sorted(kids))
+        assert got == want, p
 
 
 def _rule_ids(n):

@@ -5,7 +5,6 @@ import pytest
 from clonelab.clones import clone_metric, clone_structure
 from clonelab.profiles import Profile, parse_profile
 from clonelab.pqtree import (
-    _clone_distances,
     build_pqtree,
     clone_sets_from_tree,
     decomp,
@@ -16,7 +15,7 @@ from clonelab.pqtree import (
     tree_to_dict,
 )
 
-from oracles import brute_pqtree
+from oracles import brute_clone_metric, brute_pqtree
 
 
 def test_tree_of_clone_pair(fixtures):
@@ -202,13 +201,13 @@ def test_tree_matches_definition_oracle(corpus, fixtures):
         assert build_pqtree(p) == brute_pqtree(p), p
 
 
-def test_tree_walk_distances_match_clone_metric(corpus, fixtures):
-    """One walk of the tree gives every pair's clone distance, as the
-    definition-level scan over the clone structure does."""
+def test_clone_metric_matches_definition_oracle(corpus, fixtures):
+    """Every pair's clone distance, read from the table of clone intervals,
+    is the one read off the definition: the smallest clone set holding both."""
     for p in [*corpus, *fixtures.values(), *_seeded_profiles()]:
-        assert _clone_distances(build_pqtree(p)) == {
-            (a, b): clone_metric(p, a, b) for a in p.candidates for b in p.candidates
-        }, p
+        for a in p.candidates:
+            for b in p.candidates:
+                assert clone_metric(p, a, b) == brute_clone_metric(p, a, b), (p, a, b)
 
 
 def _shape(node, rename):
