@@ -57,11 +57,9 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     unknown = set(members) - set(profile.candidates)
     if unknown:
         raise ValueError(f"unknown candidate(s) {sorted(unknown)}")
-    for ranking, _ in profile.groups:
-        positions = [i for i, c in enumerate(ranking) if c in members]
-        if positions[-1] - positions[0] + 1 != k:
-            return False
-    return True
+    first, table, _ = _clone_intervals(profile)
+    i = min(map(first.index, members))
+    return set(first[i : i + k]) == set(members) and table[i][i + k]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

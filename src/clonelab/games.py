@@ -53,8 +53,8 @@ read from the same table, O(m²) per pair (:func:`clonelab.clones.clone_metric`
 reads it too), into a table of utilities by candidate code.  Plays are
 kept by the runners' mask.  Names appear only at the edges:
 :func:`utility`, :func:`lambda_play`, :class:`PlayResult` and the
-witnesses, and only :func:`utility` and :func:`lambda_play` validate their
-arguments.
+witnesses.  :func:`utility` and :func:`lambda_play` check every name they
+are given, and each of the three analyses the candidate it is asked about.
 """
 
 from __future__ import annotations

@@ -547,25 +547,19 @@ def replace_voter(profile: Profile, i: int, ranking: Sequence[str]) -> Profile:
 
 
 @dataclass(frozen=True)
-class MajorityMatrix:
-    """All pairwise majority margins of a profile, a view of its margin rows.
-
-    ``margin(a, b)`` is (# voters preferring a to b) − (# preferring b to a);
-    the matrix is antisymmetric with a zero diagonal.
-    """
+class _PairView:
+    """A profile's rows by candidate code, like the margin rows, read by
+    name; views of one class compare by their candidates and rows."""
 
     candidates: tuple[str, ...]
     _rows: tuple[tuple[int, ...], ...]
     _index: dict[str, int] = field(repr=False, compare=False)
 
-    def margin(self, a: str, b: str) -> int:
+    def _at(self, a: str, b: str) -> int:
+        """The entry of the pair (a, b) of candidate names; 0 when ``a == b``."""
         if a == b:
             return 0
         return self._rows[self._index[a]][self._index[b]]
-
-    def defeats(self, a: str, b: str) -> bool:
-        """True when a majority strictly prefers ``a`` to ``b``."""
-        return self.margin(a, b) > 0
 
     def as_dict(self) -> dict[tuple[str, str], int]:
         cands = self.candidates
@@ -575,6 +569,20 @@ class MajorityMatrix:
             for b, w in zip(cands, row)
             if a != b
         }
+
+
+class MajorityMatrix(_PairView):
+    """All pairwise majority margins of a profile, a view of its margin rows.
+
+    ``margin(a, b)`` is (# voters preferring a to b) − (# preferring b to a);
+    the matrix is antisymmetric with a zero diagonal.
+    """
+
+    margin = _PairView._at
+
+    def defeats(self, a: str, b: str) -> bool:
+        """True when a majority strictly prefers ``a`` to ``b``."""
+        return self.margin(a, b) > 0
 
 
 def majority_matrix(profile: Profile) -> MajorityMatrix:

@@ -55,18 +55,17 @@ mask, which the binding makes, so it goes with the binding.  A run with one
 voter settling ties moves each ballot's top pointer only when its top goes
 out, O(k·m) for the whole run.
 
-Plurality has two tallies: ``pv`` counts the core's tops among a mask, like
-the elimination rules, while the public ``first_place_counts``, with its
-``among`` argument, keeps one pass over the public groups.
+Plurality has one tally: ``pv``, the elimination rules and the public
+``first_place_counts`` (on the mask of its ``among`` names) all count the
+tops of the core's distinct ballots among a mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .profiles import Profile
+from .profiles import Profile, _codes, _PairView
 
 WinnerSet = frozenset[str]
 _Entry = Callable[..., Callable[[int], int]]  # (profile[, i]) -> (mask -> winners' mask)
@@ -142,6 +141,29 @@ def _masked(entry: _Entry) -> Callable[..., WinnerSet]:
     return rule
 
 
+def _on_margins(winners: Callable[[list], Iterable[int]]) -> Callable[..., WinnerSet]:
+    """Decorator making a masked rule (see :func:`_masked`) from a rule that
+    reads only the margins among the running candidates: ``winners(rows)``
+    lists the winners' places in the margin rows ``rows``, which a mask cuts
+    from the profile's (the rows themselves, uncopied, on the full mask)."""
+
+    def entry(profile: Profile) -> Callable[[int], int]:
+        rows = profile._core.rows
+        full = (1 << len(rows)) - 1
+
+        def on(mask: int) -> int:
+            if mask == full:  # places are codes
+                return sum(1 << k for k in winners(rows))
+            codes = _bits(mask)
+            cut = [[row[b] for b in codes] for row in map(rows.__getitem__, codes)]
+            return sum(1 << codes[k] for k in winners(cut))
+
+        return on
+
+    entry.__name__, entry.__doc__ = winners.__name__, winners.__doc__
+    return _masked(entry)
+
+
 # ---------------------------------------------------------------------------
 # plurality
 
@@ -153,22 +175,18 @@ def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
         ValueError: when ``among`` is a string, is empty or names a
             candidate the profile does not have.
     """
-    if among is None:
-        pool = set(profile.candidates)
-    else:
-        if isinstance(among, str):
-            raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
-        pool = set(among)
-        if not pool:
-            raise ValueError("among must name at least one candidate")
-        unknown = pool - set(profile.candidates)
-        if unknown:
-            raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
-    counts = dict.fromkeys(pool, 0)
-    for ranking, mult in profile.groups:
-        top = next(c for c in ranking if c in pool)
-        counts[top] += mult
-    return counts
+    if isinstance(among, str):
+        raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
+    code_of = _codes(profile.candidates)
+    pool = set(profile.candidates if among is None else among)
+    if not pool:
+        raise ValueError("among must name at least one candidate")
+    unknown = pool - code_of.keys()
+    if unknown:
+        raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
+    core = profile._core
+    tops = _tops(core.ballots, core.weights, sum(1 << code_of[c] for c in pool))
+    return {c: tops.get(code_of[c], 0) for c in pool}
 
 
 def _tops(ballots, weights, mask: int) -> dict[int, int]:
@@ -298,12 +316,6 @@ def _voter_seats(profile: Profile, i: int) -> list[int]:
     return _seats(core.ballots[core.slots[profile._voter_group(i)]])
 
 
-def _stv_i_codes(profile: Profile, i: int) -> list[int]:
-    """:func:`_stv_i_order` over the whole profile, voter i settling ties."""
-    core = profile._core
-    return _stv_i_order(core.ballots, core.weights, _full(profile), _voter_seats(profile, i))
-
-
 # ---------------------------------------------------------------------------
 # sequential elimination
 
@@ -334,8 +346,9 @@ def stv_i(profile: Profile, i: int) -> Callable[[int], int]:
 
 def stv_i_ranking(profile: Profile, i: int) -> tuple[str, ...]:
     """Reverse elimination order of :func:`stv_i` (winner first)."""
-    cands = profile.candidates
-    return tuple(cands[c] for c in reversed(_stv_i_codes(profile, i)))
+    core, cands = profile._core, profile.candidates
+    order = _stv_i_order(core.ballots, core.weights, _full(profile), _voter_seats(profile, i))
+    return tuple(cands[c] for c in reversed(order))
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +497,13 @@ def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
     )
 
 
-@_masked
-def rp_put(profile: Profile) -> Callable[[int], int]:
+@_on_margins
+def rp_put(rows) -> list[int]:
     """Ranked pairs, parallel-universe over all pair-processing orders: c
     wins when some weak stack ranks c on top."""
-
-    def winners(rows) -> list[int]:
-        above, full = _must_be_above(rows), (1 << len(rows)) - 1
-        tops = [c for c, ac in enumerate(above) if not ac]
-        return [c for c in tops if next(_weak_stacks(rows, above, [c], full & ~(1 << c), rows), None)]
-
-    return _on_margins(profile, winners)
+    above, full = _must_be_above(rows), (1 << len(rows)) - 1
+    tops = [c for c, ac in enumerate(above) if not ac]
+    return [c for c in tops if next(_weak_stacks(rows, above, [c], full & ~(1 << c), rows), None)]
 
 
 @_masked
@@ -521,38 +530,10 @@ def rp_n(profile: Profile) -> Callable[[int], int]:
 # pairwise-margin rules
 
 
-def _on_margins(profile: Profile, winners: Callable[[list], Iterable[int]]) -> Callable[[int], int]:
-    """The masked entry of a rule that reads only the margins among the
-    running candidates: ``winners(rows)`` lists the winners' places in the
-    margin rows ``rows``, which a mask cuts from the profile's (the rows
-    themselves, uncopied, on the full mask)."""
-    rows = profile._core.rows
-    full = (1 << len(rows)) - 1
-
-    def on(mask: int) -> int:
-        if mask == full:  # places are codes
-            return sum(1 << k for k in winners(rows))
-        codes = _bits(mask)
-        cut = [[row[b] for b in codes] for row in map(rows.__getitem__, codes)]
-        return sum(1 << codes[k] for k in winners(cut))
-
-    return on
-
-
-@dataclass(frozen=True)
-class StrengthMatrix:
+class StrengthMatrix(_PairView):
     """Widest-path strengths over the positive-margin digraph."""
 
-    candidates: tuple[str, ...]
-    _strengths: dict[tuple[str, str], int]
-
-    def strength(self, a: str, b: str) -> int:
-        if a == b:
-            return 0
-        return self._strengths[(a, b)]
-
-    def as_dict(self) -> dict[tuple[str, str], int]:
-        return dict(self._strengths)
+    strength = _PairView._at
 
 
 def _widest_paths(margins) -> list[list[int]]:
@@ -577,23 +558,18 @@ def strength_matrix(profile: Profile) -> StrengthMatrix:
     """Max over paths a→b of the path's smallest margin; 0 with no path."""
     cands = profile.candidates
     s = _widest_paths(profile._core.rows)
-    pairs = {(a, b): s[i][j] for i, a in enumerate(cands) for j, b in enumerate(cands) if i != j}
-    return StrengthMatrix(candidates=cands, _strengths=pairs)
+    return StrengthMatrix(candidates=cands, _rows=tuple(map(tuple, s)), _index=_codes(cands))
 
 
-@_masked
-def beatpath(profile: Profile) -> Callable[[int], int]:
+@_on_margins
+def beatpath(rows) -> list[int]:
     """Beats-or-ties everyone in widest-path strength."""
-
-    def winners(rows) -> list[int]:
-        s = _widest_paths(rows)
-        return [a for a, sa in enumerate(s) if all(w >= s[b][a] for b, w in enumerate(sa))]
-
-    return _on_margins(profile, winners)
+    s = _widest_paths(rows)
+    return [a for a, sa in enumerate(s) if all(w >= s[b][a] for b, w in enumerate(sa))]
 
 
-@_masked
-def split_cycle(profile: Profile) -> Callable[[int], int]:
+@_on_margins
+def split_cycle(rows) -> list[int]:
     """Discard each cycle's weakest defeats simultaneously; undefeated win.
 
     A defeat a→b is the weakest link of some cycle exactly when a path from b
@@ -601,12 +577,8 @@ def split_cycle(profile: Profile) -> Callable[[int], int]:
     margin exceeds the widest-path strength from b to a (Holliday & Pacuit,
     *Split Cycle*, Public Choice 2023).
     """
-
-    def winners(margins) -> list[int]:
-        s = _widest_paths(margins)
-        return [b for b, sb in enumerate(s) if all(row[b] <= sb[a] for a, row in enumerate(margins))]
-
-    return _on_margins(profile, winners)
+    s = _widest_paths(rows)
+    return [b for b, sb in enumerate(s) if all(row[b] <= sb[a] for a, row in enumerate(rows))]
 
 
 def _digraph(rows, minimum: int) -> list[int]:
@@ -673,44 +645,31 @@ def alt_smith(profile: Profile) -> Callable[[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# uncovered sets
+# uncovered sets: bit c of ``beaten[a]`` is set when c strictly beats a (the
+# strict-defeat digraph of the transposed rows); b left-covers a when every
+# candidate beating b beats a, i.e. ``beaten[b]`` lies within ``beaten[a]``
 
 
-def _beaten_by(rows) -> list[int]:
-    """Bit c of ``beaten_by[a]`` is set when candidate c strictly beats a
-    (by place in ``rows``); b left-covers a when every candidate beating b
-    beats a, i.e. ``beaten_by[b]`` lies within ``beaten_by[a]``."""
-    return [sum(1 << c for c, row in enumerate(rows) if row[a] > 0) for a in range(len(rows))]
-
-
-@_masked
-def uc_gillies(profile: Profile) -> Callable[[int], int]:
+@_on_margins
+def uc_gillies(rows) -> list[int]:
     """Nobody both left-covers and pairwise defeats a winner."""
-
-    def winners(rows) -> list[int]:
-        beaten = _beaten_by(rows)
-        return [
-            a
-            for a in range(len(rows))
-            if not any(rows[b][a] > 0 and not beaten[b] & ~beaten[a] for b in range(len(rows)) if b != a)
-        ]
-
-    return _on_margins(profile, winners)
+    beaten = _digraph([*zip(*rows)], 1)
+    return [
+        a
+        for a in range(len(rows))
+        if not any(rows[b][a] > 0 and not beaten[b] & ~beaten[a] for b in range(len(rows)) if b != a)
+    ]
 
 
-@_masked
-def uc_fishburn(profile: Profile) -> Callable[[int], int]:
+@_on_margins
+def uc_fishburn(rows) -> list[int]:
     """Nobody left-covers a winner without being left-covered back."""
-
-    def winners(rows) -> list[int]:
-        beaten = _beaten_by(rows)
-        return [
-            a
-            for a, ba in enumerate(beaten)
-            if not any(not bb & ~ba and ba & ~bb for b, bb in enumerate(beaten) if b != a)
-        ]
-
-    return _on_margins(profile, winners)
+    beaten = _digraph([*zip(*rows)], 1)
+    return [
+        a
+        for a, ba in enumerate(beaten)
+        if not any(not bb & ~ba and ba & ~bb for b, bb in enumerate(beaten) if b != a)
+    ]
 
 
 def condorcet_winner(profile: Profile) -> str | None:

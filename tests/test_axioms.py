@@ -11,6 +11,7 @@ from oracles import brute_participation
 
 from clonelab.axioms import (
     AxiomVerdict,
+    _fresh_name,
     check_cc,
     check_cc_spf,
     check_condorcet,
@@ -332,6 +333,22 @@ def test_ioc_spf(fixtures):
     assert len(w["collapsed"]) == 7 and len(w["collapsed_without"]) == 5
     assert all("z0" in r.split(">") for r in w["collapsed"] + w["collapsed_without"])
     assert set(w["collapsed_without"]) < set(w["collapsed"])
+
+
+def test_ioc_spf_past_the_cap_is_inconclusive():
+    """bp* on a ranking and its reverse: every margin ties, so all 8!
+    rankings are linearisations, past bp*'s default cap of 10,000."""
+    names = [f"c{k}" for k in range(8)]
+    p = parse_profile(f"1: {'>'.join(names)}\n1: {'>'.join(reversed(names))}\n")
+    verdict = check_ioc_spf(resolve_spf("bp*"), p)
+    assert verdict.holds is None
+    assert verdict.detail == "more than 10000 rankings; raise the cap to enumerate"
+
+
+def test_fresh_name_skips_taken_names():
+    assert _fresh_name(parse_profile("1: a>b\n")) == "z"
+    assert _fresh_name(parse_profile("1: z>a\n")) == "z0"
+    assert _fresh_name(parse_profile("1: z0>a>z\n")) == "z1"
 
 
 def test_ioc_checks_remove_each_candidate_once():

@@ -12,7 +12,7 @@ from clonelab.clones import (
 )
 from clonelab.profiles import Profile, parse_profile, restrict
 
-from oracles import brute_clone_sets
+from oracles import brute_clone_sets, nonempty_subsets
 
 
 def test_is_clone_set():
@@ -25,6 +25,44 @@ def test_is_clone_set():
     assert not is_clone_set(p, set())
     with pytest.raises(ValueError):
         is_clone_set(p, {"z"})
+
+
+def test_is_clone_set_matches_brute_force(fixtures, corpus):
+    for p in [*fixtures.values(), *corpus[:120]]:
+        sets = brute_clone_sets(p)
+        for subset in nonempty_subsets(p.candidates):
+            assert is_clone_set(p, set(subset)) == (frozenset(subset) in sets), (p, subset)
+
+
+def _consecutive(p: Profile, members: set[str]) -> bool:
+    """``members`` by definition: one run on every ballot."""
+    for ranking, _ in p.groups:
+        places = [k for k, c in enumerate(ranking) if c in members]
+        if places[-1] - places[0] + 1 != len(members):
+            return False
+    return True
+
+
+def test_is_clone_set_past_256_candidates():
+    """At m = 257 the core codes ballots as tuples, not bytes.  The second
+    ballot reverses places 100..199 and the third swaps the last two, so
+    intervals inside, around and across those runs all occur."""
+    names = [f"c{k}" for k in range(257)]
+    second = names[:100] + names[199:99:-1] + names[200:]
+    third = names[:255] + names[:254:-1]
+    p = Profile(tuple(names), ((tuple(names), 1), (tuple(second), 2), (tuple(third), 1)))
+    spans = [(0, 257), (0, 100), (100, 200), (120, 180), (199, 257), (200, 257), (90, 110),
+             (0, 101), (99, 200), (255, 257), (254, 256), (256, 257), (5, 6)]
+    picks = [set(names[a:b]) for a, b in spans] + [{"c0", "c2"}, {"c100", "c199"}, {"c1", "c256"}]
+    verdicts = [is_clone_set(p, s) for s in picks]
+    assert verdicts == [_consecutive(p, s) for s in picks]
+    assert True in verdicts and False in verdicts
+
+
+def test_clone_metric_rejects_unknown_candidates():
+    p = parse_profile("1: a>b>c\n1: c>b>a\n")
+    with pytest.raises(ValueError, match="zz"):
+        clone_metric(p, "a", "zz")
 
 
 def test_structure_of_running_example(fixtures):

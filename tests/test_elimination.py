@@ -20,6 +20,7 @@ from oracles import (
     brute_stv,
     brute_stv_i_ranking,
     brute_stv_star,
+    nonempty_subsets,
 )
 
 def _check_against_oracles(p: Profile) -> None:
@@ -91,3 +92,14 @@ def test_first_place_counts_rejects_empty_among(fixtures):
 def test_first_place_counts_rejects_a_bare_string(fixtures):
     with pytest.raises(ValueError):
         first_place_counts(fixtures["P2"], among="a1")
+
+
+def test_first_place_counts_match_brute_force(fixtures, corpus):
+    """Every non-empty ``among`` and the default, counted voter by voter;
+    the keys come in the order of ``set(among)``, as the tally has always
+    listed them."""
+    for p in [*fixtures.values(), *corpus[:120]]:
+        for among in [None, *nonempty_subsets(p.candidates)]:
+            counts = first_place_counts(p, among)
+            assert counts == brute_first_places(p, among), (p, among)
+            assert list(counts) == list(set(p.candidates if among is None else among))

@@ -37,6 +37,24 @@ def test_game_spec_requires_decisive_rule(fixtures):
     assert spec.rule_name == "stv"
 
 
+def test_staged_play_walks_a_q_node_from_its_far_end():
+    """a>b>c against c>b>a: every margin ties, so the root is one Q node
+    read in stored order, a first.  When the rule elects c from {a, c}, that
+    end is designated and the walk starts at c, asking no one else."""
+    p = profiles.parse_profile("1: a>b>c\n1: c>b>a\n")
+    everyone = {c: RUN for c in p.candidates}
+    for rule, winner in (("rp_i:2", "c"), ("stv_i:2", "c"), ("rp_i:1", "a")):
+        played = lambda_play(GameSpec(profile=p, rule=rule, form="lambda"), everyone)
+        assert played == PlayResult(winner=winner, asked=frozenset({winner})), rule
+
+
+def test_game_analyses_reject_unknown_candidates(fixtures):
+    game = GameSpec(profile=fixtures["P2"], rule="rp_i:1", form="gamma")
+    for analysis in (gamma_dominant_run, gamma_obviously_dominant_run, lambda_obviously_dominant_run):
+        with pytest.raises(ValueError, match="zz"):
+            analysis(game, "zz")
+
+
 def test_utility_schedule(fixtures):
     game = GameSpec(profile=fixtures["P1"], rule="stv", form="gamma")
     # full field: d wins and b sits at clone distance 3 from d

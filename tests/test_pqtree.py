@@ -91,6 +91,12 @@ def test_leaf_tree():
     assert internal_nodes(t) == []
 
 
+def test_decomp_of_a_leaf_is_its_one_member(fixtures):
+    leaves = [build_pqtree(parse_profile("candidates: a\n1: a\n"))]
+    leaves += [c for c in build_pqtree(fixtures["P2"]).children if c.is_leaf]
+    assert [decomp(leaf) for leaf in leaves] == [(frozenset({"a"}),), (frozenset({"b"}),), (frozenset({"c"}),)]
+
+
 def test_decomp_lists_child_blocks(fixtures):
     # decomp() reports the child blocks canonically (sorted by name),
     # independent of the node's display order

@@ -1,13 +1,22 @@
 """Winner rules: frozen expectations on the bundled profiles plus
 oracle-equivalence and containment laws on the random corpus."""
 
+import hashlib
 import time
 
 import pytest
 
 from clonelab.pqtree import build_pqtree, internal_nodes
-from clonelab.profiles import load_fixture, parse_profile, remove_candidates
+from clonelab.profiles import (
+    MajorityMatrix,
+    load_fixture,
+    majority_matrix,
+    parse_profile,
+    remove_candidates,
+    serialize_profile,
+)
 from clonelab.scf import (
+    StrengthMatrix,
     _bits,
     alt_smith,
     beatpath,
@@ -31,7 +40,8 @@ from clonelab.scf import (
     uc_fishburn,
     uc_gillies,
 )
-from clonelab.transform import resolve_rule
+from clonelab.spf import _RULES
+from clonelab.transform import RULE_IDS, resolve_rule
 
 from conftest import build_census, rule_ids
 from oracles import (
@@ -139,6 +149,63 @@ def test_strength_matrix_values(fixtures):
     assert s.strength("a2", "b") == 7 and s.strength("b", "a2") == 3
     assert s.strength("a2", "c") == 5 and s.strength("c", "a2") == 3
     assert s.strength("b", "c") == 5 and s.strength("c", "b") == 3
+
+
+def test_strength_matrix_diagonal_and_dict(fixtures):
+    s = strength_matrix(fixtures["P3"])
+    assert all(s.strength(c, c) == 0 for c in s.candidates)
+    assert s.as_dict() == {
+        ("a1", "a2"): 3, ("a2", "a1"): 3, ("a1", "b"): 7, ("b", "a1"): 3,
+        ("a1", "c"): 5, ("c", "a1"): 3, ("a2", "b"): 7, ("b", "a2"): 3,
+        ("a2", "c"): 5, ("c", "a2"): 3, ("b", "c"): 5, ("c", "b"): 3,
+    }
+
+
+def test_pairwise_views_compare_by_class_and_value(fixtures):
+    """Views of one class built apart are equal, with equal hashes; a margin
+    view never equals a strength view, even over the same rows."""
+    p = fixtures["P3"]
+    q = parse_profile(serialize_profile(p))
+    for view in (majority_matrix, strength_matrix):
+        assert view(p) == view(q) and hash(view(p)) == hash(view(q))
+        assert view(p) != view(fixtures["P1"])
+    m = majority_matrix(p)
+    assert isinstance(m, MajorityMatrix)
+    assert StrengthMatrix(m.candidates, m._rows, m._index) != m
+    assert strength_matrix(p) != majority_matrix(p)
+
+
+# Each registered winner rule's public name and the first 16 hex digits of
+# the SHA-256 of its docstring: writing a rule as a decorated function of
+# its margin rows keeps both.
+_RULE_DOCS = {
+    "as": ("alt_smith", "8c53d338f8c372a0"),
+    "bp": ("beatpath", "deead5d631497704"),
+    "pv": ("pv", "bc0429cb029f630b"),
+    "rp": ("rp_put", "600c4bb51d609eda"),
+    "rp_n": ("rp_n", "a1ec39089a7ef9da"),
+    "sc": ("split_cycle", "9b405e00cfcd391b"),
+    "schwartz": ("schwartz", "18966f1141ebfb26"),
+    "smith": ("smith", "94b55f4f24dcf3d1"),
+    "stv": ("stv", "c967e55899bec99b"),
+    "ucf": ("uc_fishburn", "22462edf1f9fdf05"),
+    "ucg": ("uc_gillies", "7fecb1b3e83beefb"),
+    "rp_i": ("rp_i", "95b6730240030bf0"),
+    "stv_i": ("stv_i", "16f0127649409f6e"),
+}
+
+
+def test_registered_rules_keep_their_names_docs_and_entries(fixtures):
+    assert {rid.partition(":")[0] for rid in RULE_IDS} == _RULE_DOCS.keys()
+    p = fixtures["P1"]
+    full = (1 << p.m) - 1
+    for rid, (name, digest) in _RULE_DOCS.items():
+        fn, suffix = _RULES["scf", rid]
+        assert (fn.__name__, fn.__qualname__) == (name, name)
+        assert hashlib.sha256(fn.__doc__.encode()).hexdigest()[:16] == digest, rid
+        args = () if suffix is None else (1,)
+        won = fn._on(p, *args)(full)
+        assert {p.candidates[c] for c in _bits(won)} == fn(p, *args), rid
 
 
 def test_beatpath_and_split_cycle(fixtures):
@@ -281,10 +348,13 @@ def test_rp_put_matches_the_simulation_on_the_census(m, max_n, profiles, simulat
 def test_strength_matrix_matches_path_enumeration(corpus):
     for p in corpus[:120]:
         s = strength_matrix(p)
+        table = s.as_dict()
+        assert len(table) == p.m * (p.m - 1)
         for a in p.candidates:
             for b in p.candidates:
                 if a != b:
-                    assert s.strength(a, b) == brute_path_strength(p, a, b), (p, a, b)
+                    width = brute_path_strength(p, a, b)
+                    assert s.strength(a, b) == table[a, b] == width, (p, a, b)
 
 
 # ---------------------------------------------------------------------------
