@@ -10,11 +10,12 @@ ballots at most; the scan from a start stops once every interval from it has
 an outsider inside on some ballot, which on unstructured profiles is after a
 few ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
 
-The table is kept, for the 256 most recent profiles, keyed by the places
-each distinct ballot gives voter 1's candidates: equal profiles built apart,
-as the axiom sweeps build them, share one entry, and the entry holds no
-profile.  The clone structure, the decompositions, the clone distance, the
-PQ-tree (:mod:`clonelab.pqtree`) and the walks of the transform
+The table is kept, for the 256 most recent profiles, keyed by ``m`` and the
+places each distinct ballot gives voter 1's candidates, run together into
+one flat sequence (one ``bytes`` up to 256 candidates): equal profiles built
+apart, as the axiom sweeps build them, share one entry, and the entry holds
+no profile.  The clone structure, the decompositions, the clone distance,
+the PQ-tree (:mod:`clonelab.pqtree`) and the walks of the transform
 (:mod:`clonelab.transform`) and of the staged game (:mod:`clonelab.games`)
 all read it.
 """
@@ -22,6 +23,7 @@ all read it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .profiles import Profile
 
@@ -63,16 +65,15 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _interval_table(positions: tuple) -> tuple[tuple[bool, ...], ...]:
+def _interval_table(m: int, flat) -> tuple[tuple[bool, ...], ...]:
     """The table ``t`` with ``t[i][j]`` True exactly when the candidates
     voter 1 ranks at places ``i`` to ``j - 1`` (0 <= i < j <= m) form a clone
-    set, read from a core's ``positions()`` as a tuple.
+    set, read from a core's ``positions()`` run together, ``m`` to a ballot, as ``flat``.
 
     The key holds places only, no names or codes, so profiles that differ
     by renaming, by the order their candidates are listed or by the voter
     counts share one entry, and no entry keeps a profile alive."""
-    m = len(positions[0])
-    others = positions[1:]  # voter 1's own ballot splits no interval
+    others = [flat[k : k + m] for k in range(m, len(flat), m)]  # voter 1's own splits none
     table = []
     for i in range(m):
         spread = [j - 1 - i for j in range(m + 1)]  # widest span of places i..j-1 so far
@@ -99,8 +100,10 @@ def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], tuple, tuple]:
     """Voter 1's ranking ``first``, the interval table of :func:`_interval_table`
     (``first[i:j]`` is a clone set exactly when ``t[i][j]``), and the core's
     ``positions()`` the table was read from."""
-    positions = tuple(profile._core.positions())
-    return profile.groups[0][0], _interval_table(positions), positions
+    positions = profile._core.positions()
+    m = len(positions[0])
+    flat = b"".join(positions) if m <= 256 else tuple(chain.from_iterable(positions))
+    return profile.groups[0][0], _interval_table(m, flat), positions
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

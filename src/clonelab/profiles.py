@@ -35,7 +35,8 @@ otherwise counted on first read: a derivation never counts the base's.
 A profile joined by one more voter (:func:`add_voter`) takes the base's core
 the same way: the ballot is coded once and counted into it, and the margin
 rows, when the base has them, are the base's plus that ballot's ±1 on each
-pair.  Every other profile builds its core from its groups.
+pair.  :func:`parse_profile` builds the core as it reads, tokenizing each
+distinct ballot text once.  Every other profile builds its core from its groups.
 
 The text format accepted by :func:`parse_profile`::
 
@@ -158,9 +159,9 @@ def _derived(
     groups: tuple[tuple[Ranking, int], ...],
     core: _Core | None = None,
 ) -> Profile:
-    """A profile built from a valid one by a transformation that keeps it
-    valid: the checks of ``__post_init__`` are skipped.  ``core``, when
-    given, is the profile's core, already built."""
+    """A profile known to be valid (derived from a valid one, or checked as
+    it was read): the checks of ``__post_init__`` are skipped.  ``core``,
+    when given, is the profile's core, already built."""
     profile = object.__new__(Profile)
     object.__setattr__(profile, "candidates", candidates)
     object.__setattr__(profile, "groups", groups)
@@ -278,10 +279,10 @@ class _Core:
         """For each distinct ranking, the position of each of voter 1's
         candidates on it: ``positions()[k][x]`` places voter 1's x-th choice.
         Computed afresh on each call rather than kept.  It holds no names
-        or codes, so as a tuple it keys the table of clone intervals
-        (:func:`clonelab.clones._interval_table`) that the tree and the
-        transform's walk read; the last places that order a P node's
-        children are counted from it too."""
+        or codes, so, run together into one sequence, it keys the table of
+        clone intervals (:func:`clonelab.clones._interval_table`) that the
+        tree and the transform's walk read; the last places that order a P
+        node's children are counted from it too."""
         first = self.ballots[0]
         if isinstance(first, bytes):  # code -> position as a translation table
             seats = bytes(range(len(first)))
@@ -314,8 +315,11 @@ def parse_profile(text: str) -> Profile:
             inferred) candidate list.
     """
     header: tuple[str, ...] | None = None
-    raw_groups: list[tuple[Ranking, int]] = []
     names: dict[str, str] = {}  # token as written -> the one shared copy of its name
+    slot_of: dict[str, int] = {}  # ballot text as written -> its slot in the core
+    coded: dict = {}  # coded ranking -> slot: one slot however the ranking is spaced
+    named: list[Ranking] = []  # slot -> the one name tuple its groups share
+    weights, slots, mults = [], [], []  # per slot its weight; per line its slot and count
 
     def shared(token: str) -> str:
         name = token.strip()
@@ -325,7 +329,7 @@ def parse_profile(text: str) -> Profile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None and not raw_groups and line.lower().startswith("candidates:"):
+        if header is None and not slots and line.lower().startswith("candidates:"):
             header_names = [c.strip() for c in line.split(":", 1)[1].split(",")]
             if any(not c for c in header_names):
                 raise ProfileParseError(f"line {lineno}: empty candidate name in header")
@@ -341,20 +345,42 @@ def parse_profile(text: str) -> Profile:
             raise ProfileParseError(f"line {lineno}: bad multiplicity {count_part.strip()!r}") from None
         if mult <= 0:
             raise ProfileParseError(f"line {lineno}: multiplicity must be positive, got {mult}")
-        tokens = ballot_part.split(">")
-        ranking = tuple(map(names.get, tokens))
-        if None in ranking:  # a token not seen before
-            ranking = tuple(map(shared, tokens))
-        if "" in ranking:
-            raise ProfileParseError(f"line {lineno}: empty candidate name in ballot")
-        if "+" in ballot_part:
-            _reject_reserved(lineno, ranking)
-        raw_groups.append((ranking, mult))
+        slot = slot_of.get(ballot_part)
+        if slot is None:  # a ballot text not seen before
+            tokens = ballot_part.split(">")
+            try:  # the extra key keeps a one-token ballot a tuple
+                ranking = itemgetter(*tokens, tokens[0])(names)[:-1]
+            except KeyError:  # a token not seen before; seen ones passed these checks
+                ranking = tuple(map(shared, tokens))
+                if "" in ranking:
+                    raise ProfileParseError(f"line {lineno}: empty candidate name in ballot")
+                if "+" in ballot_part:
+                    _reject_reserved(lineno, ranking)
+            if not named:  # the first ballot: the candidates are known now
+                candidates = header if header is not None else ranking
+                code_of, m, cset = _codes(candidates), len(candidates), set(candidates)
+                code = bytes if m <= 256 else tuple
+                whole = len(cset) == m  # no duplicate candidate, and every ranking a permutation
+            if len(ranking) == m and set(ranking) == cset:
+                key = code(map(code_of.__getitem__, ranking))
+            else:
+                key, whole = ranking, False
+            slot = slot_of[ballot_part] = coded.setdefault(key, len(named))
+            if slot == len(named):
+                named.append(ranking)
+                weights.append(0)
+        weights[slot] += mult
+        slots.append(slot)
+        mults.append(mult)
 
-    if not raw_groups:
+    if not slots:
         raise ProfileParseError("no ballots found")
-    candidates = header if header is not None else raw_groups[0][0]
-    return Profile(candidates=candidates, groups=tuple(raw_groups))
+    groups = tuple(zip(map(named.__getitem__, slots), mults))
+    if not whole:
+        return Profile(candidates=candidates, groups=groups)  # raises the check's error
+    core = _Core.__new__(_Core)
+    core.ballots, core.weights, core.slots, core._rows = tuple(coded), tuple(weights), tuple(slots), None
+    return _derived(candidates, groups, core)
 
 
 def serialize_profile(profile: Profile) -> str:

@@ -169,7 +169,7 @@ def _on_margins(winners: Callable[[list], Iterable[int]]) -> Callable[..., Winne
 
 
 def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
-    """Plurality tally, optionally restricted to the ``among`` candidates.
+    """Plurality tally in candidate order, optionally restricted to the ``among`` candidates.
 
     Raises:
         ValueError: when ``among`` is a string, is empty or names a
@@ -186,7 +186,7 @@ def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
         raise ValueError(f"cannot count unknown candidate(s) {sorted(unknown)}")
     core = profile._core
     tops = _tops(core.ballots, core.weights, sum(1 << code_of[c] for c in pool))
-    return {c: tops.get(code_of[c], 0) for c in pool}
+    return {c: tops.get(k, 0) for k, c in enumerate(profile.candidates) if c in pool}
 
 
 def _tops(ballots, weights, mask: int) -> dict[int, int]:

@@ -13,13 +13,61 @@ from itertools import chain, combinations, permutations, product
 
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
-from clonelab.profiles import Profile, reverse_profile
+from clonelab.profiles import Profile, ProfileParseError, _reject_reserved, reverse_profile
 from clonelab.transform import resolve_rule
 
 
 def nonempty_subsets(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k) for k in range(1, len(items) + 1))
+
+
+def brute_parse(text: str) -> Profile:
+    """Profile text read line by line, every line tokenized and named, then
+    validated as a whole by ``Profile``: the parser as it was before it
+    read each distinct ballot text once into the integer core."""
+    header: tuple[str, ...] | None = None
+    raw_groups: list[tuple[tuple[str, ...], int]] = []
+    names: dict[str, str] = {}  # token as written -> the one shared copy of its name
+
+    def shared(token: str) -> str:
+        name = token.strip()
+        return names.setdefault(token, names.setdefault(name, name))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None and not raw_groups and line.lower().startswith("candidates:"):
+            header_names = [c.strip() for c in line.split(":", 1)[1].split(",")]
+            if any(not c for c in header_names):
+                raise ProfileParseError(f"line {lineno}: empty candidate name in header")
+            _reject_reserved(lineno, header_names)
+            header = tuple(map(shared, header_names))
+            continue
+        if ":" not in line:
+            raise ProfileParseError(f"line {lineno}: expected '<count>: c1>c2>...'")
+        count_part, ballot_part = line.split(":", 1)
+        try:
+            mult = int(count_part.strip())
+        except ValueError:
+            raise ProfileParseError(f"line {lineno}: bad multiplicity {count_part.strip()!r}") from None
+        if mult <= 0:
+            raise ProfileParseError(f"line {lineno}: multiplicity must be positive, got {mult}")
+        tokens = ballot_part.split(">")
+        ranking = tuple(map(names.get, tokens))
+        if None in ranking:  # a token not seen before
+            ranking = tuple(map(shared, tokens))
+        if "" in ranking:
+            raise ProfileParseError(f"line {lineno}: empty candidate name in ballot")
+        if "+" in ballot_part:
+            _reject_reserved(lineno, ranking)
+        raw_groups.append((ranking, mult))
+
+    if not raw_groups:
+        raise ProfileParseError("no ballots found")
+    candidates = header if header is not None else raw_groups[0][0]
+    return Profile(candidates=candidates, groups=tuple(raw_groups))
 
 
 def brute_restrict(profile: Profile, keep) -> Profile:

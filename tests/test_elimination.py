@@ -2,10 +2,15 @@
 alternate Smith) against the round-by-round oracles in ``oracles.py``, plus
 the input handling of ``first_place_counts``."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clonelab
 from clonelab.profiles import Profile
 from clonelab.scf import alt_smith, first_place_counts, pv, stv, stv_i, stv_i_ranking
 from clonelab.spf import nnr_i_star, nr_i_star, nr_star, stv_star
@@ -96,10 +101,30 @@ def test_first_place_counts_rejects_a_bare_string(fixtures):
 
 def test_first_place_counts_match_brute_force(fixtures, corpus):
     """Every non-empty ``among`` and the default, counted voter by voter;
-    the keys come in the order of ``set(among)``, as the tally has always
-    listed them."""
+    the keys come in the order of the profile's candidates."""
     for p in [*fixtures.values(), *corpus[:120]]:
         for among in [None, *nonempty_subsets(p.candidates)]:
             counts = first_place_counts(p, among)
             assert counts == brute_first_places(p, among), (p, among)
-            assert list(counts) == list(set(p.candidates if among is None else among))
+            pool = p.candidates if among is None else among
+            assert list(counts) == [c for c in p.candidates if c in pool]
+
+
+def test_first_place_counts_key_order_is_the_same_under_any_hash_seed():
+    """The keys do not come in the order of a set of names, which moves with
+    the interpreter's hash seed: three fresh interpreters list them alike."""
+    script = (
+        "from clonelab.profiles import load_fixture\n"
+        "from clonelab.scf import first_place_counts\n"
+        "print(list(first_place_counts(load_fixture('P1'))))\n"
+        "print(list(first_place_counts(load_fixture('P2'), ['c', 'b', 'a1'])))\n"
+    )
+    path = [str(Path(clonelab.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p), "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert outputs == {"['a', 'b', 'c', 'd']\n['a1', 'b', 'c']\n"}

@@ -1,10 +1,11 @@
 import random
+from importlib import resources
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_margins, brute_restrict, brute_summarize
+from oracles import brute_margins, brute_parse, brute_restrict, brute_summarize
 
 from clonelab.profiles import (
     Profile,
@@ -555,6 +556,106 @@ def test_add_voter_rejects_a_bad_ballot_as_a_profile_would(ballot, message):
     with pytest.raises(ProfileParseError) as built:
         Profile(p.candidates, p.groups + ((ballot, 1),))
     assert str(built.value) == message
+
+
+def _read(parse, text):
+    """The profile ``parse`` reads from ``text``, or the message it refuses it with."""
+    try:
+        return parse(text)
+    except ProfileParseError as err:
+        return f"ProfileParseError: {err}"
+
+
+def _assert_parses_as_oracle(text):
+    """``parse_profile`` reads what the line-by-line oracle reads, or refuses
+    with its message; a profile it reads has the core its groups give."""
+    got, want = _read(parse_profile, text), _read(brute_parse, text)
+    assert got == want, text
+    if isinstance(want, Profile):
+        assert _core_fields(got._core) == _core_fields(_Core(Profile(got.candidates, got.groups))), text
+
+
+def _spaced(rng, ranking):
+    """A ranking written with spaces of its own around each name."""
+    return ">".join(rng.choice(["", " ", "  "]) + c + rng.choice(["", " "]) for c in ranking)
+
+
+def _repeating_text(rng, cands, lines):
+    """``lines`` ballots over a few rankings of ``cands``, each line spaced
+    at random, under a header or (half the time) none."""
+    pool = [rng.sample(cands, len(cands)) for _ in range(rng.randint(1, 3))]
+    rows = ["candidates: " + ",".join(cands)] if rng.random() < 0.5 else []
+    rows += [f"{rng.randint(1, 3)}: " + _spaced(rng, rng.choice(pool)) for _ in range(lines)]
+    return "\n".join(rows) + "\n"
+
+
+def test_parse_matches_oracle(corpus):
+    fixtures_dir = resources.files("clonelab.fixtures")
+    for name in fixture_names():
+        _assert_parses_as_oracle(fixtures_dir.joinpath(f"{name}.profile").read_text(encoding="utf-8"))
+    for p in corpus:
+        _assert_parses_as_oracle(serialize_profile(p))
+    rng = random.Random(20261020)
+    for _ in range(200):
+        _assert_parses_as_oracle(_repeating_text(rng, list("abcdef"[: rng.randint(1, 6)]), rng.randint(1, 12)))
+    wide = _repeating_text(rng, [f"c{k}" for k in range(257)], 40)  # codes as tuples
+    _assert_parses_as_oracle(wide)
+    assert isinstance(parse_profile(wide)._core.ballots[0], tuple)
+
+
+def test_parse_reads_one_ranking_spaced_apart_into_one_slot():
+    p = parse_profile("candidates: a,b,c\n1: a>b>c\n2:  a > b>c \n1: c>b>a\n1: a>b>c\n")
+    assert p.groups == ((("a", "b", "c"), 1), (("a", "b", "c"), 2), (("c", "b", "a"), 1), (("a", "b", "c"), 1))
+    assert _core_fields(p._core)[:3] == ((b"\x00\x01\x02", b"\x02\x01\x00"), (4, 1), (0, 0, 1, 0))
+
+
+_HEADER_NAMES = st.sampled_from(["a", "b", "c", " b", "", "d", "a+b"])
+_TOKENS = st.sampled_from(["a", "b", "c", " a", "b ", " c ", "", " ", "d", "a+b"])
+_PADS = st.sampled_from(["", " ", "  "])
+_COUNTS = st.one_of(st.sampled_from(["1", "2", " 3 "]), st.sampled_from(["0", "-1", "x", "", "1.5", "+1"]))
+
+
+@st.composite
+def profile_lines_st(draw):
+    """One line of profile text: a ballot (often a permutation of a, b and c,
+    otherwise any tokens), a comment, a blank line or a ballot without its
+    count."""
+    kind = draw(st.one_of(st.just("permutation"), st.sampled_from(["tokens", "comment", "blank", "no colon"])))
+    if kind == "comment":
+        return "# " + draw(st.sampled_from(["note", "1: a>b", ""]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    if kind == "permutation":
+        ballot = ">".join(draw(_PADS) + c + draw(_PADS) for c in draw(st.permutations("abc")))
+    else:
+        ballot = ">".join(draw(st.lists(_TOKENS, min_size=1, max_size=4)))
+    if kind == "no colon":
+        return ballot
+    return f"{draw(_COUNTS)}:{ballot}{draw(st.sampled_from(['', '  # trailing']))}"
+
+
+@st.composite
+def profile_texts_st(draw):
+    """Profile text, often malformed: headers with duplicate, empty or '+'
+    names, unknown, missing, duplicate and empty names in ballots, zero,
+    negative and malformed counts, comments and blank lines, and a few
+    lines repeated in any order."""
+    rows = []
+    header = draw(st.one_of(st.none(), st.permutations("abc"), st.lists(_HEADER_NAMES, min_size=1, max_size=4)))
+    if header is not None:
+        rows.append("candidates: " + ",".join(header))
+    pool = draw(st.lists(profile_lines_st(), min_size=1, max_size=4))
+    rows += [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+    return "\n".join(rows) + "\n"
+
+
+@given(profile_texts_st())
+@example("candidates: a,b,c\n1: a>b>c\n1: a>b>c\n1: a>a>c\n")  # a repeated text, then a bad one
+@example("candidates: a,b,c\n1: a>b>c\n1: a>b\n")  # a ballot that is not a permutation
+@example("1: a>b\n1:a > b\n2: b>a>b\n")  # no header, one ranking spaced apart
+@settings(max_examples=300)
+def test_parse_matches_oracle_on_malformed_text(text):
+    _assert_parses_as_oracle(text)
 
 
 def _assert_derivations_match_brute(p, subsets):
