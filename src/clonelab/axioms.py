@@ -19,6 +19,10 @@ joined profile takes its core from the profile's
 
 Checks over many removals or decompositions of one profile compute each
 removal's (``ioc``, ``ioc_spf``) or each block's (``cc``) winners once.
+``cc`` and ``ioc`` elect each removal, block and block summary as a mask on
+the profile's own core (:class:`clonelab.transform._Elector`); ``isda``
+builds each removal's profile, whose clone structure its clone-aware
+variant reads.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .profiles import (
     restrict,
     summarize,
 )
-from .scf import condorcet_winner, smith
+from .scf import _bits, _full, _names, condorcet_winner, smith
 from .spf import neg, resolve_spf
-from .transform import _composed, resolve_rule
+from .transform import _Elector, resolve_rule
 
 __all__ = [
     "AxiomVerdict",
@@ -94,9 +98,12 @@ def _nontrivial_clone_sets(profile: Profile):
 def check_ioc(rule, profile: Profile) -> AxiomVerdict:
     """Independence of clones: deleting one clone never changes whether its
     clone set wins, nor any outsider's fate."""
-    f = resolve_rule(rule)
-    winners = f(profile)
-    without = cache(lambda a: f(remove_candidates(profile, {a})))  # nested sets share removals
+    elect = _Elector(rule, profile)
+    code = _codes(profile.candidates)
+    full = _full(profile)
+    winners = _names(profile, elect(full))
+    # nested sets share removals
+    without = cache(lambda a: _names(profile, elect(full & ~(1 << code[a]))))
     for k in _nontrivial_clone_sets(profile):
         for a in sorted(k):
             reduced_winners = without(a)
@@ -119,23 +126,28 @@ def check_ioc(rule, profile: Profile) -> AxiomVerdict:
 def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     """Composition consistency: every two-level election over a partition
     into clone sets reproduces the rule's winners."""
-    f = resolve_rule(rule)
-    winners = f(profile)
+    elect = _Elector(rule, profile)
+    winners = elect(_full(profile))
     try:
         decompositions = enumerate_decompositions(profile, cap)
     except EnumerationCapExceeded as exc:
         return AxiomVerdict("cc", None, detail=str(exc))
-    inner = cache(lambda block: f(restrict(profile, block)))  # decompositions share blocks
+    code = _codes(profile.candidates)
+    place = _codes(profile.voter_ranking(1))
+    inner = cache(lambda block: elect(sum(1 << code[c] for c in block)))  # blocks recur
     for blocks in decompositions:
-        composed = _composed(f, profile, blocks, inner)
+        # each block by its representative, the member voter 1 ranks first
+        rep = {code[min(b, key=place.__getitem__)]: b for b in blocks}
+        won = elect(sum(1 << r for r in rep), rep)
+        composed = sum(inner(rep[r]) for r in _bits(won))  # the blocks are disjoint
         if composed != winners:
             return AxiomVerdict(
                 "cc",
                 False,
                 {
                     "decomposition": _sorted_sets(blocks),
-                    "winners": sorted(winners),
-                    "composed": sorted(composed),
+                    "winners": sorted(_names(profile, winners)),
+                    "composed": sorted(_names(profile, composed)),
                 },
             )
     return AxiomVerdict("cc", True)

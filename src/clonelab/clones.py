@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .profiles import Profile
+from .profiles import Profile, _name_collection
 
 CloneSet = frozenset[str]
 CloneStructure = frozenset[CloneSet]
@@ -53,7 +53,7 @@ class EnumerationCapExceeded(RuntimeError):
 
 def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     """True when ``members`` is non-empty and consecutive on every ballot."""
-    k = len(members)
+    k = len(_name_collection(members, "members"))
     if k == 0:
         return False
     unknown = set(members) - set(profile.candidates)

@@ -64,7 +64,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
 from .clones import _clone_distance, _clone_intervals
-from .profiles import Profile, _codes
+from .profiles import Profile, _codes, _name_collection
 from .pqtree import _split
 from .scf import _bits
 from .transform import _Elector, rule_label
@@ -165,7 +165,7 @@ class GameSpec:
 
 def utility(game: GameSpec, a: str, field: Iterable[str]) -> int:
     """Candidate a's utility when exactly ``field`` stands for election."""
-    standing = frozenset(field)
+    standing = frozenset(_name_collection(field, "field"))
     if a not in game.profile.candidates:
         raise ValueError(f"unknown candidate {a!r}")
     unknown = standing - set(game.profile.candidates)

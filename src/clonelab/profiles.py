@@ -22,7 +22,7 @@ it (O(k·m) additions over k distinct rankings).  Deduplication lives only in
 the core: the groups, and so the voter indices, are never merged.
 
 Every profile derived by dropping or merging candidates (:func:`restrict`,
-:func:`remove_candidates`, :func:`summarize` and a PQ-tree block summary)
+:func:`remove_candidates`, :func:`summarize` and ``_Elector``'s adapter)
 goes one way, :func:`_derive`: each of the base core's k distinct code
 rankings is cut down to the kept codes (one representative per block for a
 summary) and renumbered, equal results merge with their weights summed, and
@@ -417,13 +417,21 @@ def load_fixture(name: str) -> Profile:
 # profile transformations
 
 
+def _name_collection(names, what: str):
+    """``names``, a collection of candidate names; a bare string, whose
+    characters would be read as names, raises ValueError."""
+    if isinstance(names, str):
+        raise ValueError(f"{what} must be a collection of candidate names, not the string {names!r}")
+    return names
+
+
 def remove_candidates(profile: Profile, to_remove: Iterable[str]) -> Profile:
     """Delete candidates from every ballot, keeping groups distinct.
 
     Identical post-deletion rankings are deliberately not merged so that
     voter indices keep pointing at the same people.
     """
-    gone = frozenset(to_remove)
+    gone = frozenset(_name_collection(to_remove, "to_remove"))
     unknown = gone - set(profile.candidates)
     if unknown:
         raise ValueError(f"cannot remove unknown candidate(s) {sorted(unknown)}")
@@ -432,7 +440,7 @@ def remove_candidates(profile: Profile, to_remove: Iterable[str]) -> Profile:
 
 def restrict(profile: Profile, keep: Iterable[str]) -> Profile:
     """Restrict every ballot to the candidates in ``keep``."""
-    kept = frozenset(keep)
+    kept = frozenset(_name_collection(keep, "keep"))
     names = set(profile.candidates)
     unknown = kept - names
     if unknown:
@@ -445,12 +453,6 @@ def _without(profile: Profile, gone: set[str] | frozenset[str]) -> Profile:
     keep = [k for k, c in enumerate(profile.candidates) if c not in gone]
     if not keep:
         raise ValueError("cannot remove every candidate")
-    return _kept(profile, keep)
-
-
-def _kept(profile: Profile, keep: Sequence[int]) -> Profile:
-    """The profile restricted to the candidates with codes ``keep``, in
-    ascending order."""
     return _derive(profile, keep, tuple(map(profile.candidates.__getitem__, keep)))
 
 
@@ -467,10 +469,12 @@ def summarize(profile: Profile, decomposition: Iterable[frozenset[str]]) -> Prof
     candidates appear in the order voter 1 ranks the blocks.
 
     Raises:
-        ValueError: if the blocks do not partition the candidates or some
-            block is not consecutive on some ballot.
+        ValueError: if the blocks do not partition the candidates, some
+            block is not consecutive on some ballot, or the decomposition or
+            a block is a bare string.
     """
-    blocks = [frozenset(b) for b in decomposition]
+    parts = _name_collection(decomposition, "decomposition")
+    blocks = [frozenset(_name_collection(b, "a block")) for b in parts]
     flat = [c for b in blocks for c in b]
     if not all(blocks) or len(flat) != len(set(flat)) or set(flat) != set(profile.candidates):
         raise ValueError("blocks must partition the candidate set")

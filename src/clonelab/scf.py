@@ -65,7 +65,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .profiles import Profile, _codes, _PairView
+from .profiles import Profile, _codes, _name_collection, _PairView
 
 WinnerSet = frozenset[str]
 _Entry = Callable[..., Callable[[int], int]]  # (profile[, i]) -> (mask -> winners' mask)
@@ -175,10 +175,8 @@ def first_place_counts(profile: Profile, among=None) -> dict[str, int]:
         ValueError: when ``among`` is a string, is empty or names a
             candidate the profile does not have.
     """
-    if isinstance(among, str):
-        raise ValueError(f"among must be a collection of candidate names, not the string {among!r}")
     code_of = _codes(profile.candidates)
-    pool = set(profile.candidates if among is None else among)
+    pool = set(profile.candidates if among is None else _name_collection(among, "among"))
     if not pool:
         raise ValueError("among must name at least one candidate")
     unknown = pool - code_of.keys()

@@ -40,12 +40,12 @@ the summary profile with its blocks named, as :class:`_Elector` describes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 from .clones import _clone_intervals
-from .profiles import Profile, _codes, _derive, _kept, block_name, restrict, summarize
+from .profiles import Profile, _derive, block_name, restrict, summarize
 from .pqtree import _split, _stored_order
-from .scf import WinnerSet, _bits
+from .scf import WinnerSet, _bits, _names
 from .spf import _resolve_id, _rule_ids
 
 __all__ = [
@@ -88,17 +88,18 @@ def rule_label(rule: str | Rule) -> str:
 
 class _Elector:
     """``rule`` on ``profile`` as one function from a mask of candidate codes
-    to the mask of the winners, for the callers that elect many sets of one
-    profile.
+    to the mask of the winners: how games, the transform, ``check_cc`` and
+    ``check_ioc`` elect the rule on subsets of one profile.
 
     A registered rule runs its masked entry, bound to the profile at the
-    first call.  Any other callable goes through an adapter that derives the
-    profile it is shown and calls the rule: the profile restricted to the
-    mask, its candidates named as in the profile (:func:`_kept`), or, given
-    ``blocks`` (each representative's code → its block's name), the block
-    summary (:func:`_child_summary`).  ``masked`` tells the callers whether
-    the entry runs, so that they name blocks only for the adapter, and
-    ``calls`` counts the calls made of the entry or of the rule.
+    first call, and reads only the mask.  Any other callable is shown the
+    profile restricted to the mask or, given ``blocks`` (each
+    representative's code → its block's members), the block summary, equal
+    to what :func:`clonelab.profiles.restrict` and
+    :func:`clonelab.profiles.summarize` make, each by one derivation
+    (:func:`clonelab.profiles._derive`), and the profile itself, not a copy,
+    where that is what it would be shown.  ``calls`` counts the calls made
+    of the entry or of the rule.
     """
 
     def __init__(self, rule: str | Rule, profile: Profile) -> None:
@@ -106,51 +107,34 @@ class _Elector:
         self.profile = profile
         self.calls = 0
         self._entry = getattr(self.rule, "_on", None)
-        self.masked = self._entry is not None
         self._bound: Callable[[int], int] | None = None
 
-    def __call__(self, mask: int, blocks: dict[int, str] | None = None) -> int:
+    def __call__(self, mask: int, blocks: dict[int, Iterable[str]] | None = None) -> int:
         self.calls += 1
         if self._entry is not None:
             if self._bound is None:
                 self._bound = self._entry(self.profile)
             return self._bound(mask)
+        profile = self.profile
         if blocks is None:
-            self.profile._core.rows  # counted once, so that every field's are cut from them
-            shown = _kept(self.profile, _bits(mask))
-            code_of = _codes(self.profile.candidates)
-        else:
-            shown = _child_summary(self.profile, blocks)
-            code_of = {name: c for c, name in blocks.items()}
+            profile._core.rows  # counted once, so that every field's are cut from them
+            keep = _bits(mask)
+            names = tuple(map(profile.candidates.__getitem__, keep))
+        else:  # the representatives in voter 1's order
+            keep = [c for c in profile._core.ballots[0] if c in blocks]
+            names = tuple(block_name(blocks[c]) for c in keep)
+        shown = profile if names == profile.candidates else _derive(profile, keep, names)
+        code_of = dict(zip(names, keep))
         return sum(1 << code_of[w] for w in self.rule(shown))
-
-
-def _child_summary(profile: Profile, blocks: dict[int, str]) -> Profile:
-    """The block summary of ``blocks`` (each representative's code → its
-    block's name), blocks of a partition of a node's members into clone sets.
-
-    Every ballot ranks each block consecutively, so a block sits where its
-    representative does: the summary is the profile cut down to the
-    representatives (:func:`clonelab.profiles._derive`), the blocks in the
-    order voter 1 ranks them, and its margins are those of the members.
-    """
-    keep = [c for c in profile._core.ballots[0] if c in blocks]  # voter 1's order of the blocks
-    return _derive(profile, keep, tuple(map(blocks.__getitem__, keep)))
 
 
 def composition_product(rule: str | Rule, profile: Profile, decomposition) -> WinnerSet:
     """Two-level election: f across collapsed blocks, then f inside winners."""
     f = resolve_rule(rule)
-    return _composed(f, profile, decomposition, lambda block: f(restrict(profile, block)))
-
-
-def _composed(f: Rule, profile: Profile, decomposition, inner) -> WinnerSet:
-    """The composition product, with ``inner(block)`` giving f's winners on
-    the profile restricted to a winning block (a memo, for a caller that
-    composes over many decompositions of one profile)."""
     blocks = [frozenset(b) for b in decomposition]
     by_name = {block_name(b): b for b in blocks}
-    return frozenset().union(*(inner(by_name[meta]) for meta in f(summarize(profile, blocks))))
+    elected = f(summarize(profile, blocks))
+    return frozenset().union(*(f(restrict(profile, by_name[meta])) for meta in elected))
 
 
 def cc_transform(
@@ -171,7 +155,6 @@ def cc_transform(
     core = profile._core
     first, table, positions = _clone_intervals(profile)
     codes = core.ballots[0]  # codes[i] is the code of first[i]
-    named = trace is not None or not elect.masked
     winners = 0
     queue: deque[tuple[int, int]] = deque([(0, len(first))])
     while queue:
@@ -181,7 +164,7 @@ def cc_transform(
             continue
         kind, kids = _split(table, core, i, j)  # a Q node's in majority reading order
         shown = kids[:2] if kind == "Q" else kids
-        blocks = {codes[a]: block_name(first[a:b]) for a, b in shown} if named else None
+        blocks = {codes[a]: first[a:b] for a, b in shown}
         before = elect.calls
         won = elect(sum(1 << codes[a] for a, _ in shown), blocks)
         if kind == "P":
@@ -199,9 +182,9 @@ def cc_transform(
                 {
                     "node": sorted(first[i:j]),
                     "kind": kind,
-                    "blocks": [blocks[codes[a]] for a, _ in sorted(shown)],
-                    "selected": sorted(blocks[c] for c in _bits(won)),
+                    "blocks": [block_name(first[a:b]) for a, b in sorted(shown)],
+                    "selected": sorted(block_name(blocks[c]) for c in _bits(won)),
                     "rule_calls": elect.calls - before,
                 }
             )
-    return frozenset(map(profile.candidates.__getitem__, _bits(winners)))
+    return _names(profile, winners)

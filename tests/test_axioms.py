@@ -9,6 +9,7 @@ import pytest
 from conftest import count_calls, rule_ids
 from oracles import brute_participation
 
+from clonelab import profiles
 from clonelab.axioms import (
     AxiomVerdict,
     _fresh_name,
@@ -283,7 +284,12 @@ def test_cc_elects_each_block_once():
     """On a string profile every interval is a clone set, so decompositions
     share blocks; the check calls the rule once on the profile, once per
     decomposition's summary, and once per distinct block some summary
-    elected."""
+    elected.  A plain callable is shown one derived profile per summary and
+    per distinct elected block, except where that would copy the profile:
+    the one-block decomposition's block, and here, where voter 1 ranks the
+    candidates in their listed order, the all-singletons summary.  A
+    registered rule is asked the same questions as masks, of its bound
+    masked entry, and no profile is derived."""
     p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
     pv = resolve_rule("pv")
     decompositions = enumerate_decompositions(p)
@@ -299,11 +305,41 @@ def test_cc_elects_each_block_once():
         calls.append(profile)
         return pv(profile)
 
-    verdict, restrictions = count_calls((restrict.__code__,), check_cc, counted, p)
+    derive = profiles._derive.__code__
+    verdict, made = count_calls((derive,), check_cc, counted, p)
     assert verdict.holds is True
-    assert restrictions[restrict.__code__] == len(elected)
     assert len(calls) == 1 + len(decompositions) + len(elected)
+    assert sum(q is p for q in calls) == 3  # the profile, its one block, its singletons
+    assert made[derive] == len(decompositions) + len(elected) - 2
     assert len(elected) < sum(len(blocks) for blocks in decompositions)
+    entry = pv._on(p).__code__  # shared by every binding
+    verdict, made = count_calls((entry, derive), check_cc, "pv", p)
+    assert verdict.holds is True
+    assert made == {entry: 1 + len(decompositions) + len(elected), derive: 0}
+
+
+def test_cc_and_ioc_elect_through_masks_of_the_profile(fixtures):
+    """Both checks elect every subset as a mask of the profile's own core:
+    neither calls restrict, summarize or remove_candidates, for a registered
+    rule or a plain callable, and a plain callable is shown the profile
+    itself, not a copy, to elect it whole."""
+    helpers = (restrict.__code__, summarize.__code__, remove_candidates.__code__)
+    stv = resolve_rule("stv")
+    for name in ("P1", "P2", "P6", "P7"):
+        p = fixtures[name]
+        shown = []
+
+        def plain(profile):
+            shown.append(profile)
+            return stv(profile)
+
+        for check in (check_cc, check_ioc):
+            for rule in ("stv", "rp_i:1", plain):
+                shown.clear()
+                _, made = count_calls(helpers, check, rule, p)
+                assert made == dict.fromkeys(helpers, 0), (name, check, rule)
+            assert shown[0] is p
+            assert all(q is p or q != p for q in shown), (name, check)  # no copy of p
 
 
 def test_isda(fixtures):

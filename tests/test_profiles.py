@@ -24,10 +24,11 @@ from clonelab.profiles import (
     serialize_profile,
     summarize,
 )
-from clonelab.clones import enumerate_decompositions
+from clonelab.clones import enumerate_decompositions, is_clone_set
+from clonelab.games import GameSpec, utility
 from clonelab.pqtree import build_pqtree, internal_nodes
-from clonelab.scf import rp_i, rp_i_ranking, stv_i, stv_i_ranking
-from clonelab.transform import _child_summary, cc_transform
+from clonelab.scf import first_place_counts, rp_i, rp_i_ranking, stv_i, stv_i_ranking
+from clonelab.transform import _Elector, cc_transform
 
 
 def test_parse_basic():
@@ -204,6 +205,50 @@ def test_remove_everything_rejected():
         remove_candidates(p, {"z"})
 
 
+def test_a_bare_string_is_refused_as_a_set_of_names():
+    """A string is not read as the set of its characters: every function
+    that takes a collection of candidate names refuses one, here the string
+    "ab" where "ab", "a" and "b" are all candidates."""
+    p = Profile(("ab", "a", "b", "c"), ((("ab", "a", "b", "c"), 2), (("c", "b", "a", "ab"), 1)))
+    game = GameSpec(p, "rp_i:1")
+    refused = [
+        lambda: restrict(p, "ab"),
+        lambda: remove_candidates(p, "ab"),
+        lambda: is_clone_set(p, "ab"),
+        lambda: summarize(p, [{"ab"}, "c", "ab"]),
+        lambda: summarize(p, "ab"),
+        lambda: utility(game, "c", "ab"),
+        lambda: first_place_counts(p, "ab"),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="collection of candidate names, not the string"):
+            call()
+    # the same names as collections are read as names
+    assert restrict(p, ["ab"]).candidates == ("ab",)
+    assert remove_candidates(p, ("ab",)).candidates == ("a", "b", "c")
+    assert is_clone_set(p, {"a", "b"})
+    assert summarize(p, [{"ab"}, {"c"}, {"a", "b"}]).candidates == ("ab", "a+b", "c")
+    assert utility(game, "c", ["ab"]) == 4 - 3
+    assert first_place_counts(p, ["ab"]) == {"ab": 3}
+
+
+def test_profile_refuses_no_candidates_no_ballots_and_non_positive_counts():
+    with pytest.raises(ProfileParseError, match=r"^profile has no candidates$"):
+        Profile((), ((("a",), 1),))
+    with pytest.raises(ProfileParseError, match=r"^profile has no ballots$"):
+        Profile(("a", "b"), ())
+    for mult in (0, -2):
+        with pytest.raises(ProfileParseError, match=rf"^non-positive multiplicity {mult}$"):
+            Profile(("a", "b"), ((("a", "b"), 1), (("b", "a"), mult)))
+
+
+def test_replace_voter_refuses_an_index_out_of_range():
+    p = parse_profile("candidates: a,b\n3: a>b\n")
+    for i in (0, 4, -1):
+        with pytest.raises(IndexError, match=rf"^voter index {i} out of range 1\.\.3$"):
+            replace_voter(p, i, ("b", "a"))
+
+
 def test_block_name():
     assert block_name({"b", "a2", "a1"}) == "a1+a2+b"
     assert block_name({"c"}) == "c"
@@ -369,10 +414,24 @@ def _core_fields(core):
 
 def _blocks(p, node):
     """Each child block of a tree node by its representative's code, the
-    code of the member voter 1 ranks first, mapped to the block's name."""
+    code of the member voter 1 ranks first, mapped to the block's members."""
     code_of = {c: k for k, c in enumerate(p.candidates)}
     first = p.groups[0][0]
-    return {code_of[min(child.members, key=first.index)]: child.name for child in node.children}
+    return {code_of[min(child.members, key=first.index)]: child.members for child in node.children}
+
+
+def _child_summary(p, blocks):
+    """The block summary of ``blocks`` (as :func:`_blocks` gives them) that
+    the elector shows a plain callable, captured by one that records it."""
+    shown = []
+
+    def record(profile):
+        shown.append(profile)
+        return frozenset(profile.candidates[:1])
+
+    _Elector(record, p)(sum(1 << c for c in blocks), blocks)
+    (summary,) = shown
+    return summary
 
 
 def _derived_checking_rows(base, derive, *args):
