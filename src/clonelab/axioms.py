@@ -8,8 +8,8 @@ capped search is *inconclusive*, never a pass.
 
 The clone-aware axiom variants (``clone_aware=True``, the default) quantify
 only over changes that leave the profile's clone structure intact; the plain
-variants drop that restriction.  Monotonicity and ISDA compare each changed
-profile's clone structure with the profile's, since a promotion or deletion
+variants drop that restriction.  Monotonicity and ISDA compare the clone
+structure after each promotion or deletion with the profile's, since either
 can create clone sets.  A joining ballot can only remove them, so clone-aware
 participation compares no structures: it grows just the rankings on which
 every clone set of the profile is consecutive (the frontiers of its PQ-tree,
@@ -18,11 +18,10 @@ joined profile takes its core from the profile's
 (:func:`clonelab.profiles.add_voter`).
 
 Checks over many removals or decompositions of one profile compute each
-removal's (``ioc``, ``ioc_spf``) or each block's (``cc``) winners once.
-``cc`` and ``ioc`` elect each removal, block and block summary as a mask on
-the profile's own core (:class:`clonelab.transform._Elector`); ``isda``
-builds each removal's profile, whose clone structure its clone-aware
-variant reads.
+removal's (``ioc``, ``ioc_spf``) or each mask's (``cc``) winners once.
+``cc``, ``ioc`` and ``isda`` elect each removal, block and block summary as
+a mask on the profile's own core (:class:`clonelab.transform._Elector`), and
+``isda_ca`` counts a removal's clone sets on the core's rankings cut to it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations, product
 
-from .clones import EnumerationCapExceeded, clone_structure, enumerate_decompositions
+from .clones import EnumerationCapExceeded, _clone_intervals, clone_structure, enumerate_decompositions
 from .profiles import (
     Profile,
     _codes,
@@ -127,19 +126,20 @@ def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     """Composition consistency: every two-level election over a partition
     into clone sets reproduces the rule's winners."""
     elect = _Elector(rule, profile)
-    winners = elect(_full(profile))
+    inner = cache(elect)  # by mask: blocks recur, and the one-block decomposition's is the profile
+    winners = inner(_full(profile))
     try:
         decompositions = enumerate_decompositions(profile, cap)
     except EnumerationCapExceeded as exc:
         return AxiomVerdict("cc", None, detail=str(exc))
     code = _codes(profile.candidates)
     place = _codes(profile.voter_ranking(1))
-    inner = cache(lambda block: elect(sum(1 << code[c] for c in block)))  # blocks recur
     for blocks in decompositions:
         # each block by its representative, the member voter 1 ranks first
         rep = {code[min(b, key=place.__getitem__)]: b for b in blocks}
-        won = elect(sum(1 << r for r in rep), rep)
-        composed = sum(inner(rep[r]) for r in _bits(won))  # the blocks are disjoint
+        shown = sum(1 << r for r in rep)  # a masked rule reads the summary as this field
+        won = inner(shown) if hasattr(elect.rule, "_on") else elect(shown, rep)
+        composed = sum(inner(sum(1 << code[c] for c in rep[r])) for r in _bits(won))  # disjoint
         if composed != winners:
             return AxiomVerdict(
                 "cc",
@@ -285,10 +285,10 @@ def _grow(names, sets, placed: int, order: list):
             order.pop()
 
 
-def _structure_minus(structure, a: str):
-    out = {k - {a} for k in structure}
-    out.discard(frozenset())
-    return frozenset(out)
+def _shrinks_exactly(structure, a: str, table) -> bool:
+    """Are the clone sets of the field without ``a`` (interval ``table``) those of
+    ``structure`` less ``a``?  Each of those is one of it, so when it has no more."""
+    return sum(map(sum, table)) == len({k - {a} for k in structure} - {frozenset()})
 
 
 def check_isda_ca(rule, profile: Profile, *, clone_aware: bool = True) -> AxiomVerdict:
@@ -298,15 +298,15 @@ def check_isda_ca(rule, profile: Profile, *, clone_aware: bool = True) -> AxiomV
     structure shrinks exactly by the deleted candidate.
     """
     axiom = "isda_ca" if clone_aware else "isda"
-    f = resolve_rule(rule)
-    winners = f(profile)
+    elect = _Elector(rule, profile)
+    winners = elect(_full(profile))
     top = smith(profile)
     structure = clone_structure(profile) if clone_aware else None
     for a in sorted(set(profile.candidates) - top):
-        reduced = remove_candidates(profile, {a})
-        if clone_aware and clone_structure(reduced) != _structure_minus(structure, a):
+        without = _full(profile) & ~(1 << profile.candidates.index(a))
+        if clone_aware and not _shrinks_exactly(structure, a, _clone_intervals(profile, without)[1]):
             continue
-        reduced_winners = f(reduced)
+        reduced_winners = elect(without)
         if reduced_winners != winners:
             return AxiomVerdict(
                 axiom,
@@ -314,8 +314,8 @@ def check_isda_ca(rule, profile: Profile, *, clone_aware: bool = True) -> AxiomV
                 {
                     "removed": a,
                     "smith_set": sorted(top),
-                    "winners": sorted(winners),
-                    "winners_without": sorted(reduced_winners),
+                    "winners": sorted(_names(profile, winners)),
+                    "winners_without": sorted(_names(profile, reduced_winners)),
                 },
             )
     return AxiomVerdict(axiom, True)

@@ -178,7 +178,9 @@ def _cmd_cc_transform(args) -> int:
     profile = _load(args.profile)
     trace: list | None = [] if args.trace else None
     winners = cc_transform(args.rule, profile, trace=trace)
+    payload: dict = {"winners": sorted(winners)}
     if trace is not None:
+        payload["trace"] = trace
         for record in trace:
             print(
                 f"[trace] {record['kind']} node {{{','.join(record['node'])}}} "
@@ -186,9 +188,6 @@ def _cmd_cc_transform(args) -> int:
                 f"-> {','.join(record['selected'])} ({record['rule_calls']} rule call)",
                 file=sys.stderr,
             )
-    payload: dict = {"winners": sorted(winners)}
-    if trace is not None:
-        payload["trace"] = trace
     _emit(payload, args.json, [",".join(sorted(winners))])
     return EX_OK
 

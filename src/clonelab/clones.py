@@ -14,10 +14,10 @@ The table is kept, for the 256 most recent profiles, keyed by ``m`` and the
 places each distinct ballot gives voter 1's candidates, run together into
 one flat sequence (one ``bytes`` up to 256 candidates): equal profiles built
 apart, as the axiom sweeps build them, share one entry, and the entry holds
-no profile.  The clone structure, the decompositions, the clone distance,
-the PQ-tree (:mod:`clonelab.pqtree`) and the walks of the transform
-(:mod:`clonelab.transform`) and of the staged game (:mod:`clonelab.games`)
-all read it.
+no profile; a field's is read off them cut to it.  The clone structure, the
+decompositions, the clone distance, the PQ-tree (:mod:`clonelab.pqtree`)
+and the walks of the transform (:mod:`clonelab.transform`) and of the
+staged game (:mod:`clonelab.games`) all read it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     unknown = set(members) - set(profile.candidates)
     if unknown:
         raise ValueError(f"unknown candidate(s) {sorted(unknown)}")
-    first, table, _ = _clone_intervals(profile)
+    first, table = profile.groups[0][0], _clone_intervals(profile)[1]
     i = min(map(first.index, members))
     return set(first[i : i + k]) == set(members) and table[i][i + k]
 
@@ -96,20 +96,23 @@ def _interval_table(m: int, flat) -> tuple[tuple[bool, ...], ...]:
     return tuple(table)
 
 
-def _clone_intervals(profile: Profile) -> tuple[tuple[str, ...], tuple, tuple]:
-    """Voter 1's ranking ``first``, the interval table of :func:`_interval_table`
-    (``first[i:j]`` is a clone set exactly when ``t[i][j]``), and the core's
-    ``positions()`` the table was read from."""
-    positions = profile._core.positions()
+def _clone_intervals(profile: Profile, mask: int | None = None) -> tuple:
+    """Voter 1's ranking ``first`` of the field ``mask`` (all by default) in
+    codes, its interval table (``first[i:j]`` is a clone set exactly when
+    ``t[i][j]``) and the core's ``positions()`` cut to it, read for the table."""
+    first, keep = profile._core.ballots[0], None
+    if mask is not None and mask != (1 << len(first)) - 1:
+        first = keep = [c for c in first if mask >> c & 1]
+    positions = profile._core.positions(keep)
     m = len(positions[0])
     flat = b"".join(positions) if m <= 256 else tuple(chain.from_iterable(positions))
-    return profile.groups[0][0], _interval_table(m, flat), positions
+    return first, _interval_table(m, flat), positions
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def clone_structure(profile: Profile) -> CloneStructure:
     """All clone sets of the profile."""
-    first, table, _ = _clone_intervals(profile)
+    first, table = profile.groups[0][0], _clone_intervals(profile)[1]
     return frozenset(
         frozenset(first[i:j]) for i, row in enumerate(table) for j, ok in enumerate(row) if ok
     )
@@ -130,7 +133,7 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
     Raises:
         EnumerationCapExceeded: if more than ``cap`` partitions exist.
     """
-    first, table, _ = _clone_intervals(profile)
+    first, table = profile.groups[0][0], _clone_intervals(profile)[1]
     m = len(first)
     tilings: list[tuple[CloneSet, ...]] = []
 
@@ -149,11 +152,10 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
                 acc.pop()
 
     tile(0, [])
-    ordered = sorted(
+    return sorted(
         (canonical_decomposition(blocks) for blocks in tilings),
         key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks),
     )
-    return ordered
 
 
 def _clone_distance(table, p: int, q: int) -> int:
@@ -174,5 +176,5 @@ def clone_metric(profile: Profile, a: str, b: str) -> int:
     for c in (a, b):
         if c not in profile.candidates:
             raise ValueError(f"unknown candidate {c!r}")
-    first, table, _ = _clone_intervals(profile)
+    first, table = profile.groups[0][0], _clone_intervals(profile)[1]
     return _clone_distance(table, *sorted((first.index(a), first.index(b))))

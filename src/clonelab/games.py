@@ -37,24 +37,24 @@ profile's own core (:mod:`clonelab.scf`), bound once per game, so voter i's
 seats, the majority digraphs and the elimination memo serve every field,
 and the margin rows are counted only where they are read (a plain
 ``stv_i`` game reads them only to orient a Q node of the profile's tree).
-Any other callable, ``^cc`` rules included, is shown each field as a
+A ``^cc`` id's entry walks each field's own table of clone intervals, cut
+from the core, and elects each node's blocks as a mask of the profile
+(:mod:`clonelab.transform`).  Any other callable is shown each field as a
 profile cut from the core with no name checks
 (:func:`clonelab.profiles._derive`), its margin rows cut from the
-profile's, counted once; a ``^cc`` rule then reads that field's own table
-of clone intervals, since removing candidates can create clone sets, and
-walks it without building a tree (:mod:`clonelab.transform`).  The staged
-form walks the profile's own table the same way, so no game builds a
-PQ-tree: building a game splits each internal node once
-(:func:`clonelab.pqtree._split`, a Q node's children in majority reading
-order) and keeps its kind and children as intervals of voter 1's ranking.
-A P node's children need no stored order, since all its leaves are asked
-at once and the rule's choice is read by mask.  The clone distances are
-read from the same table, O(m²) per pair (:func:`clonelab.clones.clone_metric`
-reads it too), into a table of utilities by candidate code.  Plays are
-kept by the runners' mask.  Names appear only at the edges:
-:func:`utility`, :func:`lambda_play`, :class:`PlayResult` and the
-witnesses.  :func:`utility` and :func:`lambda_play` check every name they
-are given, and each of the three analyses the candidate it is asked about.
+profile's, counted once.  The staged form walks the profile's own table the
+same way, so no game builds a PQ-tree: building a game splits each
+internal node once (:func:`clonelab.pqtree._split`, a Q node's children in
+majority reading order) and keeps its kind and children as intervals of
+voter 1's ranking.  A P node's children need no stored order, since all its
+leaves are asked at once and the rule's choice is read by mask.  The clone
+distances are read from the same table, O(m²) per pair
+(:func:`clonelab.clones.clone_metric` reads it too), into a table of
+utilities by candidate code.  Plays are kept by the runners' mask.  Names
+appear only at the edges: :func:`utility`, :func:`lambda_play`,
+:class:`PlayResult` and the witnesses.  :func:`utility` and
+:func:`lambda_play` check every name they are given, and each of the three
+analyses the candidate it is asked about.
 """
 
 from __future__ import annotations
@@ -143,9 +143,7 @@ class GameSpec:
                 mask = sum(1 << c for c in kept)
                 winners[mask] = _single_winner(profile, mask, elect(mask))
         self._code.update(_codes(profile.candidates))
-        _, table, _ = _clone_intervals(profile)
-        core = profile._core
-        codes = core.ballots[0]  # codes[i] is the code of voter 1's i-th choice
+        codes, table, _ = _clone_intervals(profile)  # codes[i]: the code of voter 1's i-th choice
         pay = self._payoff
         pay.extend([0] * (m + 1) for _ in range(m))  # the extra last place: nobody
         for p in range(m):
@@ -155,7 +153,7 @@ class GameSpec:
         while todo:
             i, j = todo.pop()
             if j - i > 1:
-                node = self._nodes[i, j] = _split(table, core, i, j)
+                node = self._nodes[i, j] = _split(table, codes, profile._core, i, j)
                 todo.extend(node[1])
 
     @property

@@ -77,9 +77,9 @@ class PQNode:
         return block_name(self.members)
 
 
-def _split(table, core, i: int, j: int) -> tuple[str, list[tuple[int, int]]]:
-    """The kind of the node ``[i, j)`` of the interval ``table`` (see
-    :func:`clonelab.clones._interval_table`) and its children ``[a, b)``:
+def _split(table, codes, core, i: int, j: int) -> tuple[str, list[tuple[int, int]]]:
+    """The kind of the node ``[i, j)`` of a field's ``table`` and ``codes``
+    (:func:`clonelab.clones._clone_intervals`) and its children ``[a, b)``:
     a P node's in voter 1's order, a Q node's in majority reading order.
 
     The node is Q when it has a cut, its children the pieces between the
@@ -87,12 +87,11 @@ def _split(table, core, i: int, j: int) -> tuple[str, list[tuple[int, int]]]:
     from ``i``, then the longest from where that one ends, and so on.  A Q
     node reads back-to-front when a strict majority ranks its second block
     above its first, by the margin rows of ``core``, the profile's
-    :class:`clonelab.profiles._Core`, read only here."""
+    :class:`clonelab.profiles._Core`, read only here; a field keeps its margins."""
     row = table[i]
     cuts = [c for c in range(i + 1, j) if row[c] and table[c][j]]
     if cuts:
         kids = list(zip([i, *cuts], [*cuts, j]))
-        codes = core.ballots[0]  # codes[i] is the code of voter 1's i-th choice
         if core.rows[codes[i]][codes[cuts[0]]] < 0:
             kids.reverse()
         return "Q", kids
@@ -111,8 +110,8 @@ def _stored_order(positions, weights, first, kids: list[tuple[int, int]]) -> lis
     """A P node's children ``[a, b)``, given in voter 1's order as
     :func:`_split` returns them, in stored order: ascending number of voters
     ranking the child's block last among the node's members, ties by block
-    name.  ``positions`` and ``weights`` are the core's, and ``first`` is
-    voter 1's ranking."""
+    name.  ``positions`` are the core's, cut to the field, ``weights`` the
+    core's, and ``first`` is voter 1's ranking of the field."""
     i, j = kids[0][0], kids[-1][1]
     owner = []  # voter 1's place -> the child there, over the node
     for k, (a, b) in enumerate(kids):
@@ -127,15 +126,15 @@ def _stored_order(positions, weights, first, kids: list[tuple[int, int]]) -> lis
 @lru_cache(maxsize=_CACHE_SIZE)
 def build_pqtree(profile: Profile) -> PQNode:
     """Build the tree of strong clone sets with P/Q labels and orientations."""
-    first, table, positions = _clone_intervals(profile)
+    codes, table, positions = _clone_intervals(profile)
+    first = profile.groups[0][0]  # first[i] is coded codes[i]
     core = profile._core
-    codes = core.ballots[0]  # codes[i] is the code of first[i]
 
     def build(i: int, j: int) -> PQNode:
         members = frozenset(first[i:j])
         if j - i == 1:
             return PQNode(members=members, kind="leaf")
-        kind, kids = _split(table, core, i, j)
+        kind, kids = _split(table, codes, core, i, j)
         if kind == "P":
             kids = _stored_order(positions, core.weights, first, kids)
             return PQNode(members=members, kind="P", children=tuple(build(a, b) for a, b in kids))

@@ -199,16 +199,8 @@ def _derive(profile: Profile, keep: Sequence[int], names: tuple[str, ...]) -> Pr
     them, which is the order the groups first hold them.
     """
     base = profile._core
-    if isinstance(base.ballots[0], bytes):
-        table = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
-        drop = bytes(set(range(len(base.ballots[0]))).difference(keep))
-        cut = [ballot.translate(table, drop) for ballot in base.ballots]
-    else:
-        code = bytes if len(keep) <= 256 else tuple
-        new = {c: k for k, c in enumerate(keep)}
-        cut = [code(new[c] for c in ballot if c in new) for ballot in base.ballots]
     core = _Core.__new__(_Core)
-    core.ballots, core.weights, moved = _tally(zip(cut, base.weights))
+    core.ballots, core.weights, moved = _tally(zip(base.cut(keep), base.weights))
     core.slots = tuple(map(moved.__getitem__, base.slots))
     if base._rows is None:
         core._rows = None
@@ -275,20 +267,32 @@ class _Core:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def positions(self) -> list:
-        """For each distinct ranking, the position of each of voter 1's
-        candidates on it: ``positions()[k][x]`` places voter 1's x-th choice.
-        Computed afresh on each call rather than kept.  It holds no names
-        or codes, so, run together into one sequence, it keys the table of
-        clone intervals (:func:`clonelab.clones._interval_table`) that the
-        tree and the transform's walk read; the last places that order a P
-        node's children are counted from it too."""
-        first = self.ballots[0]
+    def cut(self, keep: Sequence[int]) -> list:
+        """Each distinct ranking cut to the codes ``keep``, ``keep[k]`` becoming ``k``."""
+        if isinstance(self.ballots[0], bytes):
+            table = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
+            drop = bytes(set(range(len(self.ballots[0]))).difference(keep))
+            return [ballot.translate(table, drop) for ballot in self.ballots]
+        code = bytes if len(keep) <= 256 else tuple
+        new = {c: k for k, c in enumerate(keep)}
+        return [code(new[c] for c in ballot if c in new) for ballot in self.ballots]
+
+    def positions(self, keep: Sequence[int] | None = None) -> list:
+        """For each distinct ranking, cut to the codes ``keep`` when given, the
+        position of each of voter 1's candidates on it: ``positions()[k][x]``
+        places voter 1's x-th choice.  Computed afresh on each call rather
+        than kept.  It holds no names or codes, so, run together into one
+        sequence, it keys the table of clone intervals
+        (:func:`clonelab.clones._interval_table`) that the tree and the
+        transform's walk read; the last places that order a P node's
+        children are counted from it too."""
+        ballots = self.ballots if keep is None else self.cut(keep)
+        first = ballots[0]
         if isinstance(first, bytes):  # code -> position as a translation table
             seats = bytes(range(len(first)))
-            return [first.translate(bytes.maketrans(ballot, seats)) for ballot in self.ballots]
+            return [first.translate(bytes.maketrans(ballot, seats)) for ballot in ballots]
         out = []
-        for ballot in self.ballots:
+        for ballot in ballots:
             where = sorted(range(len(ballot)), key=ballot.__getitem__)  # code -> position
             out.append(tuple(map(where.__getitem__, first)))
         return out

@@ -19,9 +19,9 @@ every ballot's order among the kept candidates, and so its margins and, for
 a voter-indexed rule, voter i's ties, so the entry reads the profile's own
 core and never builds the restricted profile.  Binding does what every mask
 shares once: voter i's seats, the majority digraphs, and the elimination
-memo of running masks.  The callers that elect many sets of one profile,
-candidacy games and the clone-collapsing transform, reach the entry through
-the callable's ``_on`` attribute.
+memo of running masks.  The callers that elect many sets of one profile
+(games, the transform, whose ``^cc`` rules are masked too, and the removal
+checks) reach the entry through the callable's ``_on`` attribute.
 
 Pairwise rules (``beatpath``, ``split_cycle``, ``smith``, ``schwartz``, the
 uncovered sets) and ranked pairs only consult the majority margins, and all

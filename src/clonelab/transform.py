@@ -18,16 +18,17 @@ for a registered rule), on as many candidates as the node has children (two
 for Q nodes).
 
 The walk never builds the tree.  Every node is an interval ``[i, j)`` of
-voter 1's ranking, so the walk reads the profile's table of clone intervals
-(:func:`clonelab.clones._interval_table`) and splits only the nodes it
-visits, by the rule that builds the tree (:func:`clonelab.pqtree._split`),
-which reads a Q node back-to-front when a strict majority ranks its second
-block above its first; a P node's children are put in the tree's stored order
-only when the rule elects more than one of them, so that the walk and its
-trace visit them as the tree lists them.
+voter 1's ranking of the field walked (the profile, or any subset for the
+masked entry of a ``^cc`` id), so the walk reads that field's table of clone
+intervals (:func:`clonelab.clones._clone_intervals`) and splits only the
+nodes it visits, by the rule that builds the tree
+(:func:`clonelab.pqtree._split`), which reads a Q node back-to-front when a
+strict majority ranks its second block above its first; a P node's children
+are put in the tree's stored order only when the rule elects more than one
+of them, so that the walk and its trace visit them as the tree lists them.
 
-Every child of a node is a clone set of the profile, so it is consecutive
-on every ballot, and the profile cut down to one member of each block shown
+Every child of a node is a clone set of the field, so it is consecutive on
+every ballot, and the field cut down to one member of each block shown
 (its representative: the one voter 1 ranks first) is the block summary with
 those members renamed to their blocks: the same ballots, the same voters,
 the same ties for voter i.  So a registered rule (one whose callable carries
@@ -40,12 +41,13 @@ the summary profile with its blocks named, as :class:`_Elector` describes.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Iterable
 
 from .clones import _clone_intervals
 from .profiles import Profile, _derive, block_name, restrict, summarize
 from .pqtree import _split, _stored_order
-from .scf import WinnerSet, _bits, _names
+from .scf import WinnerSet, _bits, _masked, _names
 from .spf import _resolve_id, _rule_ids
 
 __all__ = [
@@ -67,17 +69,17 @@ def resolve_rule(rule: str | Rule) -> Rule:
 
     Ids are the winner-rule ids of the registry in :mod:`clonelab.spf`,
     optionally voter-indexed (``rp_i:2``, ``stv_i:1``) and optionally wrapped
-    by the transform with a ``^cc`` suffix (``stv^cc``, ``rp_i:1^cc``).
+    by the transform with a ``^cc`` suffix (``stv^cc``, ``rp_i:1^cc``) as a masked rule.
     """
     if callable(rule):
         return rule
     name = rule.strip()
     if name.endswith("^cc"):
         inner = resolve_rule(name[: -len("^cc")])
-        def transformed(profile: Profile, _inner: Rule = inner) -> WinnerSet:
-            return cc_transform(_inner, profile)
-        transformed.__name__ = f"{name.replace(':', '_').replace('^', '_')}"
-        return transformed
+        def transformed(profile: Profile) -> Callable[[int], int]:
+            return partial(_cc_walk, _Elector(inner, profile))
+        transformed.__name__ = name.replace(":", "_").replace("^", "_")
+        return _masked(transformed)
     return _resolve_id("scf", rule)
 
 
@@ -88,14 +90,14 @@ def rule_label(rule: str | Rule) -> str:
 
 class _Elector:
     """``rule`` on ``profile`` as one function from a mask of candidate codes
-    to the mask of the winners: how games, the transform, ``check_cc`` and
-    ``check_ioc`` elect the rule on subsets of one profile.
+    to the mask of the winners: how games, the transform and the removal and
+    composition checks elect the rule on subsets of one profile.
 
-    A registered rule runs its masked entry, bound to the profile at the
-    first call, and reads only the mask.  Any other callable is shown the
-    profile restricted to the mask or, given ``blocks`` (each
-    representative's code → its block's members), the block summary, equal
-    to what :func:`clonelab.profiles.restrict` and
+    A registered rule, ``^cc`` ids included, runs its masked entry, bound to
+    the profile at the first call, and reads only the mask.  Any other
+    callable is shown the profile restricted to the mask or, given ``blocks``
+    (each representative's code → its block's members), the block summary,
+    equal to what :func:`clonelab.profiles.restrict` and
     :func:`clonelab.profiles.summarize` make, each by one derivation
     (:func:`clonelab.profiles._derive`), and the profile itself, not a copy,
     where that is what it would be shown.  ``calls`` counts the calls made
@@ -140,7 +142,8 @@ def composition_product(rule: str | Rule, profile: Profile, decomposition) -> Wi
 def cc_transform(
     rule: str | Rule, profile: Profile, trace: list | None = None
 ) -> WinnerSet:
-    """Winners of the clone-collapsing transform of ``rule`` on ``profile``.
+    """Winners of the clone-collapsing transform of ``rule`` on ``profile``,
+    the walk of a ``^cc`` id's masked entry on the full mask.
 
     Walks the PQ-tree's nodes, as intervals of voter 1's ranking,
     breadth-first from the root, keeping a frontier of candidate blocks
@@ -151,10 +154,15 @@ def cc_transform(
     two blocks), the blocks it selected, and the number of calls of the
     rule, or of its masked entry, made there.
     """
-    elect = _Elector(rule, profile)
+    return _names(profile, _cc_walk(_Elector(rule, profile), trace=trace))
+
+
+def _cc_walk(elect: _Elector, mask: int | None = None, trace: list | None = None) -> int:
+    """The winners' mask of :func:`cc_transform` on the field ``mask`` (all by default)."""
+    profile = elect.profile
     core = profile._core
-    first, table, positions = _clone_intervals(profile)
-    codes = core.ballots[0]  # codes[i] is the code of first[i]
+    codes, table, positions = _clone_intervals(profile, mask)
+    first = profile.groups[0][0] if mask is None else [profile.candidates[c] for c in codes]
     winners = 0
     queue: deque[tuple[int, int]] = deque([(0, len(first))])
     while queue:
@@ -162,7 +170,7 @@ def cc_transform(
         if j - i == 1:
             winners |= 1 << codes[i]
             continue
-        kind, kids = _split(table, core, i, j)  # a Q node's in majority reading order
+        kind, kids = _split(table, codes, core, i, j)  # a Q node's in majority reading order
         shown = kids[:2] if kind == "Q" else kids
         blocks = {codes[a]: first[a:b] for a, b in shown}
         before = elect.calls
@@ -187,4 +195,4 @@ def cc_transform(
                     "rule_calls": elect.calls - before,
                 }
             )
-    return _names(profile, winners)
+    return winners

@@ -13,7 +13,13 @@ from itertools import chain, combinations, permutations, product
 
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
-from clonelab.profiles import Profile, ProfileParseError, _reject_reserved, reverse_profile
+from clonelab.profiles import (
+    Profile,
+    ProfileParseError,
+    _reject_reserved,
+    remove_candidates,
+    reverse_profile,
+)
 from clonelab.transform import resolve_rule
 
 
@@ -243,6 +249,34 @@ def brute_participation(profile: Profile, rule, clone_aware: bool) -> tuple[bool
                 "favourite_after": after,
                 "winners": sorted(winners),
                 "new_winners": sorted(new_winners),
+            }
+    return True, None
+
+
+def brute_isda(profile: Profile, rule, clone_aware: bool) -> tuple[bool, dict | None]:
+    """Independence of Smith-dominated alternatives by its definition: each
+    candidate outside the Smith set (:func:`brute_smith`), in name order, is
+    deleted with ``remove_candidates`` and the rule run on what is left; the
+    clone-aware form skips a deletion after which the clone sets
+    (:func:`brute_clone_sets`) are not exactly the profile's less the
+    deleted candidate.  Returns whether it holds and the first failing
+    deletion's witness."""
+    f = resolve_rule(rule)
+    winners = f(profile)
+    top = brute_smith(profile)
+    structure = brute_clone_sets(profile)
+    for a in sorted(set(profile.candidates) - top):
+        reduced = remove_candidates(profile, {a})
+        shrunk = {k - {a} for k in structure} - {frozenset()}
+        if clone_aware and brute_clone_sets(reduced) != shrunk:
+            continue
+        reduced_winners = f(reduced)
+        if reduced_winners != winners:
+            return False, {
+                "removed": a,
+                "smith_set": sorted(top),
+                "winners": sorted(winners),
+                "winners_without": sorted(reduced_winners),
             }
     return True, None
 

@@ -7,7 +7,7 @@ from math import factorial, prod
 
 import pytest
 from conftest import count_calls, rule_ids
-from oracles import brute_participation
+from oracles import brute_isda, brute_participation
 
 from clonelab import profiles
 from clonelab.axioms import (
@@ -282,14 +282,16 @@ def test_clone_aware_participation_tries_only_the_tree_frontiers(monkeypatch):
 
 def test_cc_elects_each_block_once():
     """On a string profile every interval is a clone set, so decompositions
-    share blocks; the check calls the rule once on the profile, once per
-    decomposition's summary, and once per distinct block some summary
-    elected.  A plain callable is shown one derived profile per summary and
-    per distinct elected block, except where that would copy the profile:
-    the one-block decomposition's block, and here, where voter 1 ranks the
-    candidates in their listed order, the all-singletons summary.  A
-    registered rule is asked the same questions as masks, of its bound
-    masked entry, and no profile is derived."""
+    share blocks; the check calls the rule once on the profile, which is
+    also the one-block decomposition's block, once per decomposition's
+    summary, and once per other distinct block some summary elected.  A
+    plain callable is shown one derived profile per summary and per other
+    distinct elected block, except where that would copy the profile: here,
+    where voter 1 ranks the candidates in their listed order, the
+    all-singletons summary is the profile itself.  A registered rule is
+    asked the same questions as masks, of its bound masked entry, which
+    reads a summary as the field of its blocks' representatives: one call
+    per distinct mask, so one on the full mask, and no profile is derived."""
     p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
     pv = resolve_rule("pv")
     decompositions = enumerate_decompositions(p)
@@ -308,14 +310,21 @@ def test_cc_elects_each_block_once():
     derive = profiles._derive.__code__
     verdict, made = count_calls((derive,), check_cc, counted, p)
     assert verdict.holds is True
-    assert len(calls) == 1 + len(decompositions) + len(elected)
-    assert sum(q is p for q in calls) == 3  # the profile, its one block, its singletons
+    assert len(calls) == len(decompositions) + len(elected)
+    assert sum(q is p for q in calls) == 2  # the profile (its one block too), its singletons
     assert made[derive] == len(decompositions) + len(elected) - 2
     assert len(elected) < sum(len(blocks) for blocks in decompositions)
+
+    def mask(members):
+        return sum(1 << p.candidates.index(c) for c in members)
+
+    # a summary's representatives: the member of each block voter 1 ranks first
+    asked = {mask(min(b) for b in blocks) for blocks in decompositions} | set(map(mask, elected))
+    assert mask(p.candidates) in asked and len(asked) < len(decompositions) + len(elected)
     entry = pv._on(p).__code__  # shared by every binding
     verdict, made = count_calls((entry, derive), check_cc, "pv", p)
     assert verdict.holds is True
-    assert made == {entry: 1 + len(decompositions) + len(elected), derive: 0}
+    assert made == {entry: len(asked), derive: 0}  # every mask asked, none twice
 
 
 def test_cc_and_ioc_elect_through_masks_of_the_profile(fixtures):
@@ -354,6 +363,26 @@ def test_isda(fixtures):
     # clone-aware reading: removing z rewires the clone structure, so the
     # deletion is out of scope and the check holds vacuously
     assert check_isda_ca(rule, p7).holds is True
+
+
+def test_isda_matches_brute(corpus, fixtures):
+    """Both ISDA checks, which elect each deletion as a mask of the profile
+    and count its clone sets on the profile's rankings cut to it, equal ISDA
+    by its definition over deleted profiles, verdict and witness, for the
+    registered rules, their transforms and a callable reading voter 1's
+    ballot; on these profiles each form both fails and skips or passes."""
+    def last_of_first(profile):
+        return frozenset({profile.voter_ranking(1)[-1]})
+
+    seen = set()
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:60]:
+        rules = [*rule_ids(p.n), *(f"{rid}^cc" for rid in rule_ids(p.n)), last_of_first]
+        for rule in rules:
+            for clone_aware in (True, False):
+                v = check_isda_ca(rule, p, clone_aware=clone_aware)
+                assert (v.holds, v.witness) == brute_isda(p, rule, clone_aware), (rule, p)
+                seen.add((clone_aware, v.holds))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_ioc_spf(fixtures):

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from clonelab.clones import clone_metric, clone_structure
-from clonelab.profiles import Profile, parse_profile
+from clonelab.clones import _clone_intervals, clone_metric, clone_structure
+from clonelab.profiles import Profile, parse_profile, restrict
 from clonelab.pqtree import (
+    _split,
     build_pqtree,
     clone_sets_from_tree,
     decomp,
@@ -244,3 +246,31 @@ def test_renamed_profiles_share_a_table_and_keep_their_names(corpus, fixtures):
         assert tuple(q._core.positions()) == tuple(p._core.positions())  # one table entry
         assert clone_structure(q) == want, p
         assert _shape(build_pqtree(q), same) == _shape(build_pqtree(p), rename), p
+
+
+def test_a_fields_intervals_and_splits_are_its_restrictions(corpus, fixtures):
+    """A field's clone intervals, read off the profile's rankings cut to it,
+    and the split of each of its nodes by the profile's margins, a Q node's
+    reading order included, are those of the restricted profile.  A neutral
+    rule cannot tell a Q node's reading order from its mirror (the two
+    blocks it is shown are the mirror's two last, with every ballot's
+    preference between them reversed), so no verdict pins the order on a
+    field; this does."""
+    strings = 0
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:60]:
+        for k in range(1, p.m + 1):
+            for field in combinations(range(p.m), k):
+                codes, table, _ = _clone_intervals(p, sum(1 << c for c in field))
+                q = restrict(p, [p.candidates[c] for c in field])
+                q_codes, q_table, _ = _clone_intervals(q)
+                assert table == q_table, (p, field)
+                assert [p.candidates[c] for c in codes] == [q.candidates[c] for c in q_codes]
+                todo = [(0, k)]
+                while todo:
+                    i, j = todo.pop()
+                    if j - i > 1:
+                        kind, kids = _split(table, codes, p._core, i, j)
+                        assert (kind, kids) == _split(q_table, q_codes, q._core, i, j), (p, field)
+                        strings += kind == "Q" and len(kids) > 2 and kids[0][0] > i
+                        todo.extend(kids)
+    assert strings  # some field reads a string of three or more blocks back-to-front

@@ -45,6 +45,7 @@ from clonelab.transform import RULE_IDS, resolve_rule
 
 from conftest import build_census, rule_ids
 from oracles import (
+    brute_cc_transform,
     brute_restrict,
     brute_summarize,
     brute_path_strength,
@@ -413,18 +414,30 @@ def test_masked_entries_match_name_level_oracles(corpus, fixtures):
     every field's mask what the rule elects on the restriction the oracles
     build, and on the mask of one representative per child of every tree
     node what it elects on the node's block summary: the winners do not
-    depend on the candidates' names."""
-    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:80]:
+    depend on the candidates' names.  On the bundled profiles and a corpus
+    slice the same holds for the ``^cc`` form of every id and for one
+    ``^cc^cc`` id, whose entries walk each field's own clone intervals cut
+    from the profile; on every field they also elect what the transform's
+    name-level oracle elects on the restriction (for ``^cc^cc``, that
+    oracle with the oracle itself as the inner rule)."""
+    fixed = [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:24]
+    for p in fixed + corpus[24:80]:
         code_of = {c: k for k, c in enumerate(p.candidates)}
         nodes = internal_nodes(build_pqtree(p))
-        for rid in rule_ids(p.n):
+        inner = {rid: rid for rid in rule_ids(p.n)}
+        if p in fixed:
+            inner |= {f"{rid}^cc": rid for rid in rule_ids(p.n)}
+            inner["stv^cc^cc"] = lambda q: brute_cc_transform(q, "stv")[0]
+        for rid, base in inner.items():
             f = resolve_rule(rid)
             on = f._on(p)
             for k in range(1, p.m + 1):
                 for field in combinations(p.candidates, k):
-                    won = on(sum(1 << code_of[c] for c in field))
-                    assert {p.candidates[c] for c in _bits(won)} == f(brute_restrict(p, field)), (
-                        rid, p, field)
+                    won = {p.candidates[c] for c in _bits(on(sum(1 << code_of[c] for c in field)))}
+                    restricted = brute_restrict(p, field)
+                    assert won == f(restricted), (rid, p, field)
+                    if base is not rid:  # a ^cc id
+                        assert won == brute_cc_transform(restricted, base)[0], (rid, p, field)
             for node in nodes:
                 block = {code_of[min(child.members)]: child.name for child in node.children}
                 summary = brute_summarize(

@@ -6,6 +6,8 @@ import weakref
 import pytest
 
 from clonelab.clones import clone_structure
+from clonelab import profiles
+from clonelab.axioms import check_cc, check_ioc, check_isda_ca
 from clonelab.games import GameSpec
 from clonelab.profiles import add_voter, load_fixture, parse_profile, remove_candidates
 from clonelab.pqtree import PQNode, build_pqtree, internal_nodes, serialize_tree
@@ -184,6 +186,53 @@ def test_transform_builds_no_tree_and_pins_no_profile():
     before = build_pqtree.cache_info()
     GameSpec(p, lambda q: cc_transform("stv_i:1", q))
     assert build_pqtree.cache_info() == before
+
+
+def test_cc_ids_are_masked_rules(corpus, fixtures):
+    """Every id with ``^cc``, or ``^cc^cc``, is a masked rule named as the id,
+    and the traced transform of a ``^cc`` id, whose masked entry the walk
+    asks each node's representatives as a field of the profile, equals the
+    tree walk over name-level summaries, record for record."""
+    for rid in rule_ids(2):
+        for suffix in ("^cc", "^cc^cc"):
+            f = resolve_rule(rid + suffix)
+            assert callable(f._on), rid + suffix
+            assert f.__name__ == (rid + suffix).replace(":", "_").replace("^", "_")
+    for p in [fixtures[f"P{k}"] for k in range(1, 10)] + corpus[:40]:
+        for rid in ("pv^cc", "stv^cc", "rp_i:1^cc", "bp^cc"):
+            trace = []
+            assert (cc_transform(rid, p, trace), trace) == brute_cc_transform(p, rid), (rid, p)
+
+
+def test_cc_ids_and_removals_derive_no_profile(fixtures):
+    """A ``^cc`` id elects each field of a game, each node of a transform and
+    each removal, block and summary of a check as a mask of the profile, and
+    ``check_isda_ca`` elects each removal as a mask: none derives a profile
+    or removes a candidate.  A plain callable is still shown one derived
+    profile per field of a game, the whole field being the profile itself."""
+    derive, remove = profiles._derive.__code__, remove_candidates.__code__
+    runs = {
+        "GameSpec rp_i:1^cc": lambda p: GameSpec(p, "rp_i:1^cc"),
+        "cc_transform stv^cc": lambda p: cc_transform("stv^cc", p),
+        "check_ioc pv^cc": lambda p: check_ioc("pv^cc", p),
+        "check_cc stv^cc": lambda p: check_cc("stv^cc", p),
+        "check_isda_ca stv": lambda p: check_isda_ca("stv", p),
+        "check_isda stv": lambda p: check_isda_ca("stv", p, clone_aware=False),
+    }
+    for name in ("P1", "P2", "P6", "P7"):
+        p = fixtures[name]
+        for label, run in runs.items():
+            _, made = count_calls((derive, remove), run, p)
+            assert made == {derive: 0, remove: 0}, (name, label)
+        shown = []
+
+        def plain(profile):
+            shown.append(profile)
+            return rp_i(profile, 1)
+
+        _, made = count_calls((derive,), GameSpec, p, plain)
+        assert made[derive] == len(shown) - 1 == 2**p.m - 2, name
+        assert shown.count(p) == 1 and shown[-1] is p, name
 
 
 def test_clone_independent_rules_are_fixed_points(corpus):
