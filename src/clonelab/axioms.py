@@ -17,30 +17,22 @@ Elkind, Faliszewski & Slinko), where plain participation tries all m!.  Each
 joined profile takes its core from the profile's
 (:func:`clonelab.profiles.add_voter`).
 
-Checks over many removals or decompositions of one profile compute each
-removal's (``ioc``, ``ioc_spf``) or each mask's (``cc``) winners once.
-``cc``, ``ioc`` and ``isda`` elect each removal, block and block summary as
-a mask on the profile's own core (:class:`clonelab.transform._Elector`), and
-``isda_ca`` counts a removal's clone sets on the core's rankings cut to it.
+``cc``, ``ioc``, ``isda``, ``cc_spf`` and ``ioc_spf`` elect each removal,
+block and block summary once, as a mask on the profile's own core
+(:class:`clonelab.transform._Elector`); a decomposition is a tiling of voter
+1's ranking by clone intervals, rankings stay code orders (``ioc_spf``
+collapses a clone set on them) and only witnesses are named.  ``isda_ca``
+counts a removal's clone sets on the core's rankings cut to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import chain, count, permutations, product
 
-from .clones import EnumerationCapExceeded, _clone_intervals, clone_structure, enumerate_decompositions
-from .profiles import (
-    Profile,
-    _codes,
-    add_voter,
-    block_name,
-    remove_candidates,
-    replace_voter,
-    restrict,
-    summarize,
-)
+from .clones import EnumerationCapExceeded, _clone_intervals, _tilings, clone_structure
+from .profiles import Profile, _codes, add_voter, replace_voter
 from .scf import _bits, _full, _names, condorcet_winner, smith
 from .spf import neg, resolve_spf
 from .transform import _Elector, resolve_rule
@@ -129,28 +121,34 @@ def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     inner = cache(elect)  # by mask: blocks recur, and the one-block decomposition's is the profile
     winners = inner(_full(profile))
     try:
-        decompositions = enumerate_decompositions(profile, cap)
+        tilings = _tilings(profile, cap)
     except EnumerationCapExceeded as exc:
         return AxiomVerdict("cc", None, detail=str(exc))
-    code = _codes(profile.candidates)
-    place = _codes(profile.voter_ranking(1))
-    for blocks in decompositions:
-        # each block by its representative, the member voter 1 ranks first
-        rep = {code[min(b, key=place.__getitem__)]: b for b in blocks}
-        shown = sum(1 << r for r in rep)  # a masked rule reads the summary as this field
-        won = inner(shown) if hasattr(elect.rule, "_on") else elect(shown, rep)
-        composed = sum(inner(sum(1 << code[c] for c in rep[r])) for r in _bits(won))  # disjoint
+    for blocks, masks, won in _summaries(elect, inner, tilings):
+        composed = sum(inner(masks[r]) for r in _bits(won))  # disjoint
         if composed != winners:
             return AxiomVerdict(
                 "cc",
                 False,
                 {
-                    "decomposition": _sorted_sets(blocks),
+                    "decomposition": _sorted_sets(blocks.values()),
                     "winners": sorted(_names(profile, winners)),
                     "composed": sorted(_names(profile, composed)),
                 },
             )
     return AxiomVerdict("cc", True)
+
+
+def _summaries(elect: _Elector, memo, tilings):
+    """For each tiling of :func:`clonelab.clones._tilings`, each block's members
+    and mask by its representative (the member voter 1 ranks first), and the
+    rule's answer on the block summary (a masked rule's: ``memo`` of the reps)."""
+    codes, first = elect.profile._core.ballots[0], elect.profile.groups[0][0]
+    for tiling in tilings:
+        blocks = {codes[a]: first[a:b] for a, b in tiling}
+        masks = {codes[a]: sum(1 << c for c in codes[a:b]) for a, b in tiling}
+        shown = sum(1 << r for r in blocks)
+        yield blocks, masks, memo(shown) if hasattr(elect.rule, "_on") else elect(shown, blocks)
 
 
 def check_condorcet(rule, profile: Profile) -> AxiomVerdict:
@@ -326,38 +324,39 @@ def check_isda_ca(rule, profile: Profile, *, clone_aware: bool = True) -> AxiomV
 
 
 def _fresh_name(profile: Profile) -> str:
-    if "z" not in profile.candidates:
-        return "z"
-    k = 0
-    while f"z{k}" in profile.candidates:
-        k += 1
-    return f"z{k}"
+    """``z``, or the first of ``z0``, ``z1``, ... that names no candidate."""
+    return next(z for z in chain(["z"], map("z{}".format, count())) if z not in profile.candidates)
+
+
+def _shown(names, orders) -> list[str]:
+    """Rankings given as orders of codes, named by ``names`` and written ``a>b>c``, sorted."""
+    return sorted(">".join(map(names.__getitem__, order)) for order in orders)
 
 
 def check_ioc_spf(spf, profile: Profile) -> AxiomVerdict:
     """Ranking-level independence of clones: collapsing a clone set to a
     fresh name commutes with deleting one of its members."""
-    fn = resolve_spf(spf)
-    z = _fresh_name(profile)
+    elect = _Elector(resolve_spf(spf), profile)
+    code = _codes(profile.candidates)
+    full, z = _full(profile), profile.m  # z: the code of the collapsed block, no candidate's
     try:
-        base = fn(profile)
-        without = cache(lambda a: fn(remove_candidates(profile, {a})))  # as in check_ioc
+        base = elect(full)
+        without = cache(lambda a: elect(full & ~(1 << code[a])))  # as in check_ioc
         for k in _nontrivial_clone_sets(profile):
-            collapsed = frozenset(neg(r, k, z) for r in base)
+            block = {code[c] for c in k}
+            collapsed = frozenset(neg(r, block, z) for r in base)
             for a in sorted(k):
-                reduced = without(a)
-                collapsed_reduced = frozenset(neg(r, k - {a}, z) for r in reduced)
+                collapsed_reduced = frozenset(neg(r, block - {code[a]}, z) for r in without(a))
                 if collapsed != collapsed_reduced:
+                    names = (*profile.candidates, _fresh_name(profile))
                     return AxiomVerdict(
                         "ioc_spf",
                         False,
                         {
                             "clone_set": sorted(k),
                             "removed": a,
-                            "collapsed": sorted(">".join(r) for r in collapsed),
-                            "collapsed_without": sorted(
-                                ">".join(r) for r in collapsed_reduced
-                            ),
+                            "collapsed": _shown(names, collapsed),
+                            "collapsed_without": _shown(names, collapsed_reduced),
                         },
                     )
     except EnumerationCapExceeded as exc:
@@ -368,26 +367,25 @@ def check_ioc_spf(spf, profile: Profile) -> AxiomVerdict:
 def check_cc_spf(spf, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     """Ranking-level composition consistency: rank the blocks, rank inside
     each block, and splice — the result must be exactly the rule's rankings."""
-    fn = resolve_spf(spf)
+    elect = _Elector(resolve_spf(spf), profile)
+    ranked = cache(elect)  # by mask, as in check_cc
     try:
-        base = fn(profile)
-        decompositions = enumerate_decompositions(profile, cap)
-        ranked = cache(lambda block: fn(restrict(profile, block)))  # as in check_cc
-        for blocks in decompositions:
-            packed = summarize(profile, blocks)
-            inner = {block_name(b): ranked(b) for b in blocks}
-            composed: set = set()
-            for meta_ranking in fn(packed):
-                for combo in product(*(inner[meta] for meta in meta_ranking)):
-                    composed.add(tuple(chain.from_iterable(combo)))
-            if frozenset(composed) != base:
+        base = ranked(_full(profile))
+        for blocks, masks, metas in _summaries(elect, ranked, _tilings(profile, cap)):
+            inner = {r: ranked(mask) for r, mask in masks.items()}
+            composed = {
+                tuple(chain.from_iterable(combo))
+                for meta in metas
+                for combo in product(*map(inner.__getitem__, meta))
+            }
+            if composed != base:
                 return AxiomVerdict(
                     "cc_spf",
                     False,
                     {
-                        "decomposition": _sorted_sets(blocks),
-                        "rankings": sorted(">".join(r) for r in base),
-                        "composed": sorted(">".join(r) for r in composed),
+                        "decomposition": _sorted_sets(blocks.values()),
+                        "rankings": _shown(profile.candidates, base),
+                        "composed": _shown(profile.candidates, composed),
                     },
                 )
     except EnumerationCapExceeded as exc:

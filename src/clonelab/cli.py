@@ -29,8 +29,6 @@ from .axioms import (
 )
 from .clones import EnumerationCapExceeded, clone_structure
 from .games import (
-    DROP,
-    RUN,
     GameSpec,
     IndecisiveRuleError,
     gamma_dominant_run,

@@ -8,7 +8,9 @@ interval grows from its start one candidate at a time while every distinct
 ballot tracks its members' lowest and highest position (O(k·m²) for k
 ballots at most; the scan from a start stops once every interval from it has
 an outsider inside on some ballot, which on unstructured profiles is after a
-few ballots).  Partitions into clone sets are the tilings of voter 1's ranking.
+few ballots).  Partitions into clone sets are the tilings of voter 1's ranking
+by those intervals, listed as intervals by :func:`_tilings` and named by
+:func:`enumerate_decompositions`.
 
 The table is kept, for the 256 most recent profiles, keyed by ``m`` and the
 places each distinct ballot gives voter 1's candidates, run together into
@@ -133,29 +135,28 @@ def enumerate_decompositions(profile: Profile, cap: int = 10**6) -> list[CloneDe
     Raises:
         EnumerationCapExceeded: if more than ``cap`` partitions exist.
     """
+    first = profile.groups[0][0]
+    return [tuple(frozenset(first[a:b]) for a, b in tiling) for tiling in _tilings(profile, cap)]
+
+
+def _tilings(profile: Profile, cap: int) -> list[tuple[tuple[int, int], ...]]:
+    """The partitions of :func:`enumerate_decompositions`, in its order and
+    with its cap, each as its blocks' intervals ``(a, b)`` of voter 1's
+    ranking: the tilings by clone intervals.  Each interval is ranked once
+    by its sorted names, and a tiling sorts as the sorted tuple of its ranks."""
     first, table = profile.groups[0][0], _clone_intervals(profile)[1]
     m = len(first)
-    tilings: list[tuple[CloneSet, ...]] = []
-
-    def tile(start: int, acc: list[CloneSet]) -> None:
-        if start == m:
-            if len(tilings) >= cap:
-                raise EnumerationCapExceeded(
-                    f"more than {cap} decompositions; raise the cap to enumerate"
-                )
-            tilings.append(tuple(acc))
-            return
-        for end in range(start + 1, m + 1):
-            if table[start][end]:
-                acc.append(frozenset(first[start:end]))
-                tile(end, acc)
-                acc.pop()
-
-    tile(0, [])
-    return sorted(
-        (canonical_decomposition(blocks) for blocks in tilings),
-        key=lambda blocks: tuple(tuple(sorted(b)) for b in blocks),
-    )
+    spans = [(i, j) for i, row in enumerate(table) for j, ok in enumerate(row) if ok]
+    spans.sort(key=lambda ij: sorted(first[ij[0] : ij[1]]))
+    count = [0] * m + [1]  # count[a]: the tilings of places a.. m - 1
+    for a in reversed(range(m)):
+        count[a] = sum(count[b] for b in range(a + 1, m + 1) if table[a][b])
+    if count[0] > cap:
+        raise EnumerationCapExceeded(f"more than {cap} decompositions; raise the cap to enumerate")
+    tails: list[list[tuple[int, ...]]] = [[] for _ in range(m)] + [[()]]  # as ranks, by start
+    for a in reversed(range(m)):
+        tails[a] = [(r, *tail) for r, (i, b) in enumerate(spans) if i == a for tail in tails[b]]
+    return [tuple(map(spans.__getitem__, t)) for t in sorted(tuple(sorted(t)) for t in tails[0])]
 
 
 def _clone_distance(table, p: int, q: int) -> int:

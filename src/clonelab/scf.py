@@ -13,14 +13,15 @@ Each of the thirteen registered rules is written once, as its *masked
 entry*: bound to a profile (and, voter-indexed, to voter i), it is a
 function from a bitmask of candidate codes (places in
 ``profile.candidates``) to the mask of the winners on the profile restricted
-to those candidates.  The :func:`_masked` decorator makes the public rule
-from it: the entry on the full mask, the winners named.  A restriction keeps
+to those candidates (a ranking rule of :mod:`clonelab.spf`: to its rankings
+as orders of codes).  The :func:`_masked` decorator makes the public rule
+from it: the entry on the full mask, the answer named.  A restriction keeps
 every ballot's order among the kept candidates, and so its margins and, for
 a voter-indexed rule, voter i's ties, so the entry reads the profile's own
 core and never builds the restricted profile.  Binding does what every mask
 shares once: voter i's seats, the majority digraphs, and the elimination
 memo of running masks.  The callers that elect many sets of one profile
-(games, the transform, whose ``^cc`` rules are masked too, and the removal
+(games, the transform, whose ``^cc`` rules are masked too, and the axiom
 checks) reach the entry through the callable's ``_on`` attribute.
 
 Pairwise rules (``beatpath``, ``split_cycle``, ``smith``, ``schwartz``, the
@@ -63,12 +64,12 @@ tops of the core's distinct ballots among a mask.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .profiles import Profile, _codes, _name_collection, _PairView
 
 WinnerSet = frozenset[str]
-_Entry = Callable[..., Callable[[int], int]]  # (profile[, i]) -> (mask -> winners' mask)
 
 __all__ = [
     "WinnerSet",
@@ -122,18 +123,20 @@ def _names(profile: Profile, mask: int) -> WinnerSet:
     return frozenset(cands[c] for c in _bits(mask))
 
 
-def _masked(entry: _Entry) -> Callable[..., WinnerSet]:
+def _masked(entry: Callable[..., Callable[[int], object]]) -> Callable:
     """Decorator making a rule's masked entry its public rule, much as
     :func:`contextlib.contextmanager` makes a generator a context manager.
 
     The decorated function binds the rule to ``(profile[, i])`` and returns
-    the function from a mask to the winners' mask; its docstring describes
-    the rule.  The public rule runs it on the full mask and names the
-    winners, and keeps the entry as its ``_on`` attribute.
+    the function from a mask to the winners' mask or, for a ranking rule,
+    to the frozenset of its rankings as orders of codes; its docstring
+    describes the rule.  The public rule runs it on the full mask and names
+    the winners or the rankings, and keeps the entry as its ``_on`` attribute.
     """
 
-    def rule(profile: Profile, *i: int) -> WinnerSet:
-        return _names(profile, entry(profile, *i)(_full(profile)))
+    def rule(profile: Profile, *i: int, **options):
+        out = entry(profile, *i, **options)(_full(profile))
+        return _names(profile, out) if isinstance(out, int) else _relabel(out, profile.candidates)
 
     rule.__name__ = rule.__qualname__ = entry.__name__
     rule.__doc__ = entry.__doc__
@@ -141,26 +144,38 @@ def _masked(entry: _Entry) -> Callable[..., WinnerSet]:
     return rule
 
 
-def _on_margins(winners: Callable[[list], Iterable[int]]) -> Callable[..., WinnerSet]:
-    """Decorator making a masked rule (see :func:`_masked`) from a rule that
-    reads only the margins among the running candidates: ``winners(rows)``
-    lists the winners' places in the margin rows ``rows``, which a mask cuts
-    from the profile's (the rows themselves, uncopied, on the full mask)."""
+def _relabel(orders, labels) -> frozenset:
+    """The orders of places ``orders``, each place k read as ``labels[k]``."""
+    if len(labels) == 1:  # itemgetter of one key returns the item, not a tuple
+        return frozenset({tuple(labels)})
+    return frozenset(itemgetter(*order)(labels) for order in orders)
 
-    def entry(profile: Profile) -> Callable[[int], int]:
+
+def _on_margins(rule: Callable[..., Iterable]) -> Callable:
+    """Decorator making a masked rule (see :func:`_masked`) from a rule that
+    reads only the margins among the running candidates: ``rule(rows)``
+    lists the winners' places in the margin rows ``rows`` (a ranking rule:
+    gives the frozenset of its orders of places), which a mask cuts from the
+    profile's (the rows themselves, uncopied, on the full mask)."""
+
+    def entry(profile: Profile, *args, **options) -> Callable[[int], object]:
         rows = profile._core.rows
         full = (1 << len(rows)) - 1
 
-        def on(mask: int) -> int:
+        def on(mask: int):
             if mask == full:  # places are codes
-                return sum(1 << k for k in winners(rows))
-            codes = _bits(mask)
-            cut = [[row[b] for b in codes] for row in map(rows.__getitem__, codes)]
-            return sum(1 << codes[k] for k in winners(cut))
+                codes, cut = range(len(rows)), rows
+            else:
+                codes = _bits(mask)
+                cut = [[row[b] for b in codes] for row in map(rows.__getitem__, codes)]
+            out = rule(cut, *args, **options)
+            if isinstance(out, frozenset):  # rankings
+                return out if mask == full else _relabel(out, codes)
+            return sum(1 << codes[k] for k in out)
 
         return on
 
-    entry.__name__, entry.__doc__ = winners.__name__, winners.__doc__
+    entry.__name__, entry.__doc__ = rule.__name__, rule.__doc__
     return _masked(entry)
 
 
@@ -485,14 +500,12 @@ def _must_be_above(rows) -> list[int]:
     return [sum(1 << x for x, rx in enumerate(rows) if rx[y] > sy[x]) for y, sy in enumerate(s)]
 
 
-def rp_put_rankings(profile: Profile) -> frozenset[tuple[str, ...]]:
+@_on_margins
+def rp_put_rankings(rows) -> frozenset[tuple[int, ...]]:
     """Every ranked-pairs order reachable by some tie-breaking order: the
     weak stacks of :func:`_weak_stacks`."""
-    cands, rows = profile.candidates, profile._core.rows
-    return frozenset(
-        tuple(cands[c] for c in order)
-        for order in _weak_stacks(rows, _must_be_above(rows), [], _full(profile), rows)
-    )
+    stacks = _weak_stacks(rows, _must_be_above(rows), [], (1 << len(rows)) - 1, rows)
+    return frozenset(map(tuple, stacks))
 
 
 @_on_margins

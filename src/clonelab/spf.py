@@ -2,14 +2,18 @@
 
 These return a non-empty frozenset of complete rankings rather than a winner
 set.  Ties in the underlying procedure produce several rankings; the
-voter-indexed variants are always single-valued.
+voter-indexed variants are always single-valued.  Each rule is a masked
+entry, as the winner rules of :mod:`clonelab.scf` are: bound to a profile
+(and voter i), it maps a mask of candidate codes to the rankings of that
+field as orders of codes, and the public rule names them on the full mask.
 
 The elimination-order rules (``stv*``, ``nr``, ``nr_i``, ``nnr_i``) run on
 the elimination engine of :mod:`clonelab.scf`, which reads the profile's
 integer core: running candidates are bitmasks, the reversed profile's first
 places are the core's ballots read backwards, and no profile is built per
-round.  ``nr`` keeps one memo of the reversed profile's STV winners per
-call, since they depend only on the running set.
+round.  ``stv*`` and ``nr`` keep one memo of orders per binding, and ``nr``
+one of the reversed profile's STV winners, since both depend only on the
+running set.  ``bp*`` and ``rp*`` read the margin rows cut to the mask.
 
 Two ballot surgeries live here too: ``neg`` collapses a candidate block to a
 fresh name placed where the block's best member sat (for the ranking-level
@@ -20,6 +24,7 @@ seat of their meta-candidate; the composition check splices with ``chain``.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import scf
@@ -29,15 +34,16 @@ from .scf import (
     WinnerSet,
     _bits,
     _fewest,
-    _full,
+    _masked,
+    _on_margins,
     _peel,
+    _rp_i_order,
+    _seats,
     _stv_i_order,
     _stv_winners,
     _voter_seats,
     _widest_paths,
-    rp_i_ranking,
     rp_put_rankings,
-    stv_i_ranking,
 )
 
 __all__ = [
@@ -59,6 +65,7 @@ __all__ = [
 ]
 
 RankingSet = frozenset[Ranking]
+Orders = frozenset[tuple[int, ...]]  # rankings as orders of candidate codes
 Spf = Callable[[Profile], RankingSet]
 
 
@@ -70,7 +77,8 @@ def neg(ranking: Ranking, block: Iterable[str], z: str) -> Ranking:
     """Collapse ``block`` to the fresh candidate ``z`` on one ballot.
 
     ``z`` takes the seat of the block's highest-ranked member; the other
-    members disappear.  ``z`` must not already be on the ballot.
+    members disappear.  ``z`` must not already be on the ballot.  The ballot
+    may hold candidate codes instead of names, ``block`` and ``z`` too.
     """
     members = frozenset(block)
     if not members:
@@ -80,16 +88,8 @@ def neg(ranking: Ranking, block: Iterable[str], z: str) -> Ranking:
     stray = members - set(ranking)
     if stray:
         raise ValueError(f"block members {sorted(stray)} missing from ballot")
-    out: list[str] = []
-    seen_block = False
-    for c in ranking:
-        if c in members:
-            if not seen_block:
-                out.append(z)
-                seen_block = True
-        else:
-            out.append(c)
-    return tuple(out)
+    head = next(k for k, c in enumerate(ranking) if c in members)  # the block's best seat
+    return (*ranking[:head], z, *(c for c in ranking[head:] if c not in members))
 
 
 def substitute(ranking: Ranking, a: str, inner: Ranking) -> Ranking:
@@ -101,54 +101,50 @@ def substitute(ranking: Ranking, a: str, inner: Ranking) -> Ranking:
     clash = (set(ranking) - {a}) & set(inner)
     if clash:
         raise ValueError(f"substituted names {sorted(clash)} already on the ballot")
-    out: list[str] = []
-    for c in ranking:
-        if c == a:
-            out.extend(inner)
-        else:
-            out.append(c)
-    return tuple(out)
+    return tuple(chain.from_iterable(inner if c == a else (c,) for c in ranking))
 
 
 # ---------------------------------------------------------------------------
 # elimination-order rules
 
 
-def _orders(
-    cands: Ranking, losers: Callable[[int], list[int]], mask: int, memo: dict[int, RankingSet]
-) -> RankingSet:
+def _orders(losers: Callable[[int], list[int]], mask: int, memo: dict) -> list[tuple[int, ...]]:
     """Every order in which the codes of ``mask`` can be eliminated one a
-    round, survivor first, as rankings of ``cands``, when ``losers(running)``
-    lists the codes that may go out of the running mask; each is followed.
-    ``memo`` maps each mask searched so far to its orders; the caller makes
-    it, so it goes when the caller is done."""
+    round, survivor first, when ``losers(running)`` lists the codes that may
+    go out of the running mask; each is followed.  No order comes twice, so they
+    are listed, not hashed.  ``memo`` maps each mask searched so far to its
+    orders; the binding makes it, so it goes with the binding."""
     if not mask & (mask - 1):
-        return frozenset({(cands[mask.bit_length() - 1],)})
+        return [(mask.bit_length() - 1,)]
     out = memo.get(mask)
     if out is None:
-        out = memo[mask] = frozenset({
-            head + (cands[loser],)
+        out = memo[mask] = [
+            head + (loser,)
             for loser in losers(mask)
-            for head in _orders(cands, losers, mask & ~(1 << loser), memo)
-        })
+            for head in _orders(losers, mask & ~(1 << loser), memo)
+        ]
     return out
 
 
-def stv_star(profile: Profile) -> RankingSet:
+@_masked
+def stv_star(profile: Profile) -> Callable[[int], Orders]:
     """All STV rankings: candidates ordered by reverse elimination, every
     plurality tie branched."""
     core = profile._core
-    return _orders(
-        profile.candidates, lambda mask: _fewest(core.ballots, core.weights, mask), _full(profile), {}
-    )
+    losers, memo = partial(_fewest, core.ballots, core.weights), {}
+    return lambda mask: frozenset(_orders(losers, mask, memo))
 
 
-def stv_i_star(profile: Profile, i: int) -> RankingSet:
+@_masked
+def stv_i_star(profile: Profile, i: int) -> Callable[[int], Orders]:
     """The single STV ranking with voter i breaking elimination ties."""
-    return frozenset({stv_i_ranking(profile, i)})
+    ballots, weights = profile._core.ballots, profile._core.weights
+    seat = _voter_seats(profile, i)
+    return lambda mask: frozenset({tuple(reversed(_stv_i_order(ballots, weights, mask, seat)))})
 
 
-def nr_star(profile: Profile) -> RankingSet:
+@_masked
+def nr_star(profile: Profile) -> Callable[[int], Orders]:
     """Nested runoff: each round eliminates an STV winner of the reversed
     profile (the consensually worst candidate), branching on ties.
 
@@ -158,33 +154,31 @@ def nr_star(profile: Profile) -> RankingSet:
     core = profile._core
     back, weights = [b[::-1] for b in core.ballots], core.weights
     worst: dict[int, int] = {}
-    return _orders(
-        profile.candidates,
-        lambda mask: _bits(_stv_winners(back, weights, mask, worst)),
-        _full(profile),
-        {},
-    )
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def losers(running: int) -> list[int]:
+        return _bits(_stv_winners(back, weights, running, worst))
+
+    return lambda mask: frozenset(_orders(losers, mask, memo))
 
 
-def _ranking(profile: Profile, order: list[int]) -> RankingSet:
-    """The one ranking that reverses an elimination order of codes."""
-    cands = profile.candidates
-    return frozenset({tuple(cands[c] for c in reversed(order))})
-
-
-def nr_i_star(profile: Profile, i: int) -> RankingSet:
+@_masked
+def nr_i_star(profile: Profile, i: int) -> Callable[[int], Orders]:
     """Nested runoff where the reversed-profile STV uses voter i's reversed
     ballot for ties; single-valued."""
     core = profile._core
     back, weights = [b[::-1] for b in core.ballots], core.weights
     seat = _voter_seats(profile, i)
     back_seat = [len(seat) - 1 - k for k in seat]
-    return _ranking(
-        profile, _peel(_full(profile), lambda mask: _stv_i_order(back, weights, mask, back_seat)[-1])
-    )
+
+    def loser(running: int) -> int:
+        return _stv_i_order(back, weights, running, back_seat)[-1]
+
+    return lambda mask: frozenset({tuple(reversed(_peel(mask, loser)))})
 
 
-def nnr_i_star(profile: Profile, i: int) -> RankingSet:
+@_masked
+def nnr_i_star(profile: Profile, i: int) -> Callable[[int], Orders]:
     """Doubly nested runoff: the reversed profile's *nested-runoff* winner is
     eliminated each round; single-valued.
 
@@ -198,7 +192,7 @@ def nnr_i_star(profile: Profile, i: int) -> RankingSet:
     def anti_winner(mask: int) -> int:
         return _peel(mask, lambda inner: _stv_i_order(ballots, weights, inner, seat)[-1])[-1]
 
-    return _ranking(profile, _peel(_full(profile), anti_winner))
+    return lambda mask: frozenset({tuple(reversed(_peel(mask, anti_winner)))})
 
 
 # ---------------------------------------------------------------------------
@@ -224,44 +218,39 @@ def _linear_extensions(above: list[int], mask: int, head: list[int], out: list, 
             head.pop()
 
 
-def bp_star(profile: Profile, cap: int = 10_000) -> RankingSet:
+@_on_margins
+def bp_star(rows, cap: int = 10_000) -> Orders:
     """All linearisations of the strict widest-path relation.
 
     Raises:
         EnumerationCapExceeded: when more than ``cap`` rankings exist.
     """
-    s = _widest_paths(profile._core.rows)
+    s = _widest_paths(rows)
     above = [sum(1 << d for d, sd in enumerate(s) if sd[c] > s[c][d]) for c in range(len(s))]
     orders: list[tuple[int, ...]] = []
-    _linear_extensions(above, _full(profile), [], orders, cap)
-    cands = profile.candidates
-    return frozenset(tuple(cands[c] for c in order) for order in orders)
+    _linear_extensions(above, (1 << len(s)) - 1, [], orders, cap)
+    return frozenset(orders)
 
 
-def rp_star(profile: Profile) -> RankingSet:
+@_masked
+def rp_star(profile: Profile) -> Callable[[int], Orders]:
     """Every ranked-pairs order over all tie-processing orders."""
-    return rp_put_rankings(profile)
+    return rp_put_rankings._on(profile)
 
 
-def rp_i_star(profile: Profile, i: int) -> RankingSet:
+@_masked
+def rp_i_star(profile: Profile, i: int) -> Callable[[int], Orders]:
     """The single ranked-pairs order under voter i's priority order."""
-    return frozenset({rp_i_ranking(profile, i)})
+    rows, seat = profile._core.rows, _voter_seats(profile, i)
+    return lambda mask: frozenset({tuple(_rp_i_order(rows, mask, seat))})
 
 
-def _distinct_voters(profile: Profile) -> list[int]:
-    """For each distinct ranking of the profile, the first voter casting it."""
-    voters: list[int] = []
-    i = 1
-    for slot, (_, mult) in zip(profile._core.slots, profile.groups):
-        if slot == len(voters):  # the core numbers rankings as they first appear
-            voters.append(i)
-        i += mult
-    return voters
-
-
-def rp_n_star(profile: Profile) -> RankingSet:
+@_masked
+def rp_n_star(profile: Profile) -> Callable[[int], Orders]:
     """Union of ``rp_i_star`` over every voter."""
-    return frozenset(rp_i_ranking(profile, i) for i in _distinct_voters(profile))
+    core = profile._core
+    rows, seats = core.rows, [_seats(ballot) for ballot in core.ballots]
+    return lambda mask: frozenset(tuple(_rp_i_order(rows, mask, seat)) for seat in seats)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +284,8 @@ _RULES: dict[tuple[str, str], tuple[Callable, str | None]] = {
 """The one rule-id registry: (kind, id) → (rule, suffix after ``:<i>``), kind
 ``scf`` for winner rules and ``spf`` for ranking rules; the suffix is ``None``
 for plain ids, and voter-indexed rules take the index as a second argument.
-Every winner rule carries its masked entry as ``_on`` (see :mod:`clonelab.scf`),
-and so does the callable :func:`_resolve_id` binds to voter i."""
+Every rule carries its masked entry as ``_on`` (see :mod:`clonelab.scf`), and
+so does the callable :func:`_resolve_id` binds to voter i."""
 
 def _rule_ids(kind: str) -> tuple[str, ...]:
     """Printable ids of one kind, indexed ones written ``<id>:<i><suffix>``."""
@@ -325,12 +314,9 @@ def _resolve_id(kind: str, rule_id: str) -> Callable:
             raise ValueError(f"bad voter index {digits!r} in {label} {rule_id!r}") from None
         if i < 1:
             raise ValueError(f"voter index must be >= 1 in {label} {rule_id!r}")
-        def indexed(profile: Profile, _f=fn, _i=i):
-            return _f(profile, _i)
-        indexed.__name__ = name.replace(":", "_").replace("*", "_star")
-        if hasattr(fn, "_on"):  # a winner rule's masked entry, bound to voter i too
-            indexed._on = partial(fn._on, i=i)
-        return indexed
+        indexed = partial(fn._on, i=i)  # the masked entry, bound to voter i
+        indexed.__name__, indexed.__doc__ = name.replace(":", "_").replace("*", "_star"), fn.__doc__
+        return _masked(indexed)
     raise ValueError(f"unknown {label} {rule_id!r} (known: {', '.join(_rule_ids(kind))})")
 
 

@@ -90,8 +90,9 @@ def rule_label(rule: str | Rule) -> str:
 
 class _Elector:
     """``rule`` on ``profile`` as one function from a mask of candidate codes
-    to the mask of the winners: how games, the transform and the removal and
-    composition checks elect the rule on subsets of one profile.
+    to the mask of the winners (for a ranking rule, its rankings as code
+    orders): how games, the transform and the axiom checks elect the rule on
+    subsets of one profile.
 
     A registered rule, ``^cc`` ids included, runs its masked entry, bound to
     the profile at the first call, and reads only the mask.  Any other
@@ -100,8 +101,8 @@ class _Elector:
     equal to what :func:`clonelab.profiles.restrict` and
     :func:`clonelab.profiles.summarize` make, each by one derivation
     (:func:`clonelab.profiles._derive`), and the profile itself, not a copy,
-    where that is what it would be shown.  ``calls`` counts the calls made
-    of the entry or of the rule.
+    where that is what it would be shown; its answer is read back in codes.
+    ``calls`` counts the calls made of the entry or of the rule.
     """
 
     def __init__(self, rule: str | Rule, profile: Profile) -> None:
@@ -111,7 +112,7 @@ class _Elector:
         self._entry = getattr(self.rule, "_on", None)
         self._bound: Callable[[int], int] | None = None
 
-    def __call__(self, mask: int, blocks: dict[int, Iterable[str]] | None = None) -> int:
+    def __call__(self, mask: int, blocks: dict[int, Iterable[str]] | None = None):
         self.calls += 1
         if self._entry is not None:
             if self._bound is None:
@@ -126,8 +127,11 @@ class _Elector:
             keep = [c for c in profile._core.ballots[0] if c in blocks]
             names = tuple(block_name(blocks[c]) for c in keep)
         shown = profile if names == profile.candidates else _derive(profile, keep, names)
-        code_of = dict(zip(names, keep))
-        return sum(1 << code_of[w] for w in self.rule(shown))
+        code_of = dict(zip(names, keep)).__getitem__
+        answer = self.rule(shown)
+        if isinstance(next(iter(answer), ""), str):  # winners
+            return sum(1 << code_of(w) for w in answer)
+        return frozenset(tuple(map(code_of, ranking)) for ranking in answer)
 
 
 def composition_product(rule: str | Rule, profile: Profile, decomposition) -> WinnerSet:

@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from clonelab.profiles import Profile, load_fixture
+from clonelab.spf import SPF_IDS
 from clonelab.transform import RULE_IDS
 
 CORPUS_SEED = 271828
@@ -153,11 +154,16 @@ def build_game_profiles() -> list[Profile]:
     return out
 
 
-def rule_ids(n: int):
-    """Every registered winner-rule id, indexed ids at voters 1 and 2 (voter
-    2 only where there is one among ``n`` voters)."""
-    for rid in RULE_IDS:
+def rule_ids(n: int, ids=RULE_IDS):
+    """Every registered winner-rule id (of ``ids``), indexed ids at voters 1
+    and 2 (voter 2 only where there is one among ``n`` voters)."""
+    for rid in ids:
         yield from ([rid.replace("<i>", str(i)) for i in (1, 2)[:n]] if "<i>" in rid else [rid])
+
+
+def ranking_ids(n: int):
+    """Every registered ranking-rule id, indexed as :func:`rule_ids` does."""
+    return rule_ids(n, SPF_IDS)
 
 
 def count_calls(codes, fn, *args):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, count, permutations, product
 
+from clonelab.clones import EnumerationCapExceeded
 from clonelab.games import DROP, RUN
 from clonelab.pqtree import PQNode, _reading_order, build_pqtree
 from clonelab.profiles import (
@@ -20,6 +21,7 @@ from clonelab.profiles import (
     remove_candidates,
     reverse_profile,
 )
+from clonelab.spf import resolve_spf
 from clonelab.transform import resolve_rule
 
 
@@ -279,6 +281,100 @@ def brute_isda(profile: Profile, rule, clone_aware: bool) -> tuple[bool, dict | 
                 "winners_without": sorted(reduced_winners),
             }
     return True, None
+
+
+def brute_decompositions(profile: Profile, cap: int = 10**6) -> list[tuple[frozenset[str], ...]]:
+    """Every partition of the candidates into sets of :func:`brute_clone_sets`,
+    grown block by block around the least name left; blocks sorted by their
+    sorted names, partitions by that block signature.  Raises
+    ``EnumerationCapExceeded`` with the package's message past ``cap``."""
+    sets = brute_clone_sets(profile)
+
+    def partitions(rest: frozenset[str]):
+        if not rest:
+            yield ()
+            return
+        least = min(rest)
+        for block in sets:
+            if least in block and block <= rest:
+                for tail in partitions(rest - block):
+                    yield (block, *tail)
+
+    def signature(blocks):
+        return tuple(tuple(sorted(b)) for b in blocks)
+
+    found = sorted(
+        (tuple(sorted(blocks, key=lambda b: tuple(sorted(b))))
+         for blocks in partitions(frozenset(profile.candidates))),
+        key=signature,
+    )
+    if len(found) > cap:
+        raise EnumerationCapExceeded(f"more than {cap} decompositions; raise the cap to enumerate")
+    return found
+
+
+def _brute_collapse(ranking, block, z: str) -> tuple[str, ...]:
+    """``ranking`` with ``block`` replaced by ``z`` at its best member's seat."""
+    best = next(c for c in ranking if c in block)
+    return tuple(z if c == best else c for c in ranking if c == best or c not in block)
+
+
+def brute_ioc_spf(profile: Profile, spf) -> tuple[bool | None, dict | None, str]:
+    """Ranking-level independence of clones as ``check_ioc_spf`` decided it
+    when it built every removal as a profile: each member of each
+    nontrivial clone set (:func:`brute_clone_sets`) is removed by
+    :func:`brute_restrict` and the rule run on what is left, and the rankings
+    are collapsed name by name.  Returns ``holds``, the witness and the detail."""
+    fn = resolve_spf(spf)
+    z = "z" if "z" not in profile.candidates else next(
+        f"z{k}" for k in count() if f"z{k}" not in profile.candidates)
+    nontrivial = sorted((k for k in brute_clone_sets(profile) if 2 <= len(k) < profile.m),
+                        key=lambda k: tuple(sorted(k)))
+    try:
+        base = fn(profile)
+        for k in nontrivial:
+            collapsed = frozenset(_brute_collapse(r, k, z) for r in base)
+            for a in sorted(k):
+                reduced = fn(brute_restrict(profile, set(profile.candidates) - {a}))
+                collapsed_reduced = frozenset(_brute_collapse(r, k - {a}, z) for r in reduced)
+                if collapsed != collapsed_reduced:
+                    return False, {
+                        "clone_set": sorted(k),
+                        "removed": a,
+                        "collapsed": sorted(">".join(r) for r in collapsed),
+                        "collapsed_without": sorted(">".join(r) for r in collapsed_reduced),
+                    }, ""
+    except EnumerationCapExceeded as exc:
+        return None, None, str(exc)
+    return True, None, ""
+
+
+def brute_cc_spf(profile: Profile, spf, cap: int = 10**6) -> tuple[bool | None, dict | None, str]:
+    """Ranking-level composition consistency as ``check_cc_spf`` decided it
+    when it built every block and summary as a profile: for each partition of
+    :func:`brute_decompositions`, the rule ranks the :func:`brute_summarize`d
+    profile and each block's :func:`brute_restrict`ion, and every splice of
+    the two levels must be one of the rule's rankings and each of those a
+    splice.  Returns ``holds``, the witness and the detail."""
+    fn = resolve_spf(spf)
+    try:
+        base = fn(profile)
+        for blocks in brute_decompositions(profile, cap):
+            inner = {"+".join(sorted(b)): fn(brute_restrict(profile, b)) for b in blocks}
+            composed = {
+                tuple(chain.from_iterable(combo))
+                for meta_ranking in fn(brute_summarize(profile, blocks))
+                for combo in product(*(inner[meta] for meta in meta_ranking))
+            }
+            if frozenset(composed) != base:
+                return False, {
+                    "decomposition": sorted(sorted(b) for b in blocks),
+                    "rankings": sorted(">".join(r) for r in base),
+                    "composed": sorted(">".join(r) for r in composed),
+                }, ""
+    except EnumerationCapExceeded as exc:
+        return None, None, str(exc)
+    return True, None, ""
 
 
 def brute_margins(profile: Profile) -> dict[tuple[str, str], int]:

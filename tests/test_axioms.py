@@ -6,8 +6,8 @@ import random
 from math import factorial, prod
 
 import pytest
-from conftest import count_calls, rule_ids
-from oracles import brute_isda, brute_participation
+from conftest import count_calls, ranking_ids, rule_ids
+from oracles import brute_cc_spf, brute_ioc_spf, brute_isda, brute_participation
 
 from clonelab import profiles
 from clonelab.axioms import (
@@ -435,7 +435,8 @@ def test_ioc_checks_remove_each_candidate_once():
 def test_cc_spf_ranks_each_block_once():
     """On a string profile every interval is a clone set, so the 32 tilings
     share their blocks; the check ranks the profile once, each summary once
-    and each of the 21 blocks once."""
+    and each of the 21 blocks once, the one-block decomposition's block being
+    the profile, so 20 blocks besides it."""
     p = parse_profile("3: a>b>c>d>e>f\n2: f>e>d>c>b>a\n")
     decompositions = enumerate_decompositions(p)
     blocks = {b for d in decompositions for b in d}
@@ -448,7 +449,7 @@ def test_cc_spf_ranks_each_block_once():
             return rule(profile)
 
         assert check_cc_spf(counted, p).holds is True
-        assert len(calls) == 1 + 32 + 21, rid
+        assert len(calls) == 1 + 32 + 20, rid
 
 
 def test_plain_checks_compute_no_clone_structure(fixtures, monkeypatch):
@@ -485,3 +486,55 @@ def test_cc_spf_cap_is_inconclusive():
     p = parse_profile("candidates: a,b,c,d,e\n1: a>b>c>d>e\n")
     v = check_cc_spf(resolve_spf("rp_i:1*"), p, cap=3)
     assert v.holds is None and v.inconclusive
+
+
+def _stv_star_callable(profile):
+    """``stv*`` as a plain callable, with no masked entry."""
+    return resolve_spf("stv*")(profile)
+
+
+def _listed(profile):
+    """The candidates in their listed order, and by name from last to
+    first: a plain callable that reads names and the listing order."""
+    return frozenset({profile.candidates, tuple(sorted(profile.candidates, reverse=True))})
+
+
+def test_ranking_checks_match_name_level_oracles(fixtures, corpus):
+    """Both ranking checks, which elect every removal, block and summary as a
+    mask of the profile and collapse clone sets on code orders, give the
+    verdict, witness and detail of the checks that built each of those as a
+    profile (the oracles), for every registered ranking id and two plain
+    callables; on the bundled profiles also under a cap of 2 decompositions.
+    Each check both holds and fails here."""
+    seen = set()
+    for p in [*fixtures.values(), *corpus[:60]]:
+        for rule in [*ranking_ids(p.n), _stv_star_callable, _listed]:
+            v = check_ioc_spf(rule, p)
+            assert (v.holds, v.witness, v.detail) == brute_ioc_spf(p, rule), (rule, p)
+            seen.add(("ioc_spf", v.holds))
+            for cap in (10**6, 2) if p in fixtures.values() else (10**6,):
+                v = check_cc_spf(rule, p, cap=cap)
+                assert (v.holds, v.witness, v.detail) == brute_cc_spf(p, rule, cap), (rule, p)
+                seen.add(("cc_spf", v.holds))
+    assert seen == {(c, h) for c in ("ioc_spf", "cc_spf") for h in (True, False, None)} - {
+        ("ioc_spf", None)
+    }
+
+
+def test_ranking_checks_elect_through_masks_of_the_profile(fixtures):
+    """Neither ranking check builds a profile for a registered ranking id: no
+    call of restrict, summarize, remove_candidates or the derivation under
+    them.  A plain callable is shown the profile itself and then the
+    profiles the name-level oracles build, no others."""
+    helpers = (restrict, summarize, remove_candidates, profiles._derive)
+    codes = tuple(f.__code__ for f in helpers)
+    for name in ("P1", "P2", "P6", "P7", "P8"):
+        p = fixtures[name]
+        for check, oracle in ((check_ioc_spf, brute_ioc_spf), (check_cc_spf, brute_cc_spf)):
+            for rid in ranking_ids(p.n):
+                _, made = count_calls(codes, check, rid, p)
+                assert made == dict.fromkeys(codes, 0), (name, check, rid)
+            shown, built = [], []
+            check(lambda q: shown.append(q) or _stv_star_callable(q), p)
+            oracle(p, lambda q: built.append(q) or _stv_star_callable(q))
+            assert shown[0] is p and set(shown) == set(built), (name, check)

@@ -12,7 +12,7 @@ from clonelab.clones import (
 )
 from clonelab.profiles import Profile, parse_profile, restrict
 
-from oracles import brute_clone_sets, nonempty_subsets
+from oracles import brute_clone_sets, brute_decompositions, nonempty_subsets
 
 
 def test_is_clone_set():
@@ -163,6 +163,18 @@ def test_decomposition_blocks_partition(corpus):
                 union |= block
                 total += len(block)
             assert union == set(p.candidates) and total == p.m
+
+
+def test_decompositions_match_the_partition_oracle(corpus, fixtures):
+    """The tilings of voter 1's ranking by clone intervals, ranked once per
+    interval and sorted, list exactly the partitions into clone sets in the
+    order the subset oracle sorts them, and the cap fires exactly past it."""
+    for p in [*fixtures.values(), *corpus[:200]]:
+        want = brute_decompositions(p)
+        assert enumerate_decompositions(p) == want
+        assert enumerate_decompositions(p, cap=len(want)) == want
+        with pytest.raises(EnumerationCapExceeded, match=f"more than {len(want) - 1} "):
+            enumerate_decompositions(p, cap=len(want) - 1)
 
 
 def test_enumeration_cap():

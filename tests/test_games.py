@@ -28,10 +28,13 @@ from oracles import brute_game_verdicts
 
 
 def test_game_spec_requires_decisive_rule(fixtures):
-    with pytest.raises(IndecisiveRuleError):
-        GameSpec(profile=fixtures["P5"], rule="pv", form="gamma")
-    with pytest.raises(IndecisiveRuleError):
-        GameSpec(profile=fixtures["P6"], rule="stv", form="gamma")
+    """Both forms refuse an indecisive rule when the game is built, before
+    any play is asked for."""
+    for form in ("gamma", "lambda"):
+        with pytest.raises(IndecisiveRuleError):
+            GameSpec(profile=fixtures["P5"], rule="pv", form=form)
+        with pytest.raises(IndecisiveRuleError):
+            GameSpec(profile=fixtures["P6"], rule="stv", form=form)
     with pytest.raises(ValueError):
         GameSpec(profile=fixtures["P1"], rule="stv", form="sequential")
     spec = GameSpec(profile=fixtures["P1"], rule="stv", form="gamma")

@@ -1,13 +1,18 @@
 """Ranking rules (social preference functions) and ballot splicing."""
 
 import gc
+import hashlib
+from itertools import combinations
 
 import pytest
+from conftest import ranking_ids
+from oracles import brute_restrict
 
 from clonelab.clones import EnumerationCapExceeded
 from clonelab.profiles import load_fixture, parse_profile, restrict, serialize_profile
 from clonelab.scf import alt_smith, beatpath, rp_put, rp_put_rankings, stv
 from clonelab.spf import (
+    _RULES,
     SPF_IDS,
     bp_star,
     neg,
@@ -159,3 +164,48 @@ def test_searches_leave_no_reference_cycles():
             assert gc.collect() == 0, rule.__name__
     finally:
         gc.enable()
+
+
+# Each registered ranking rule's public name and the first 16 hex digits of
+# the SHA-256 of its docstring, as they read when every rule was a function
+# of its profile: writing a rule as its masked entry keeps both.
+_RANKING_DOCS = {
+    "bp*": ("bp_star", "3f6da29fa3cbae9a"),
+    "nr": ("nr_star", "b0a6d9f461fc1ea3"),
+    "nnr_i": ("nnr_i_star", "8b8fc22f7a0b9fc3"),
+    "nr_i": ("nr_i_star", "7db3f4b882b216f0"),
+    "rp*": ("rp_star", "cc00ccd16daec57f"),
+    "rp_i": ("rp_i_star", "cb077424991da32f"),
+    "rp_n*": ("rp_n_star", "921adb4c017583a1"),
+    "stv*": ("stv_star", "f60dbdf36d7e56eb"),
+    "stv_i": ("stv_i_star", "be57c6428b1be5c0"),
+}
+
+
+def test_registered_ranking_rules_keep_their_names_docs_and_entries(fixtures):
+    assert {rid.partition(":")[0] for rid in SPF_IDS} == _RANKING_DOCS.keys()
+    p = fixtures["P1"]
+    full = (1 << p.m) - 1
+    for rid, (name, digest) in _RANKING_DOCS.items():
+        fn, suffix = _RULES["spf", rid]
+        assert (fn.__name__, fn.__qualname__) == (name, name)
+        assert hashlib.sha256(fn.__doc__.encode()).hexdigest()[:16] == digest, rid
+        args = () if suffix is None else (1,)
+        orders = fn._on(p, *args)(full)
+        assert {tuple(p.candidates[c] for c in order) for order in orders} == fn(p, *args), rid
+
+
+def test_masked_entries_match_name_level_restrictions(corpus, fixtures):
+    """Each registered ranking rule's masked entry, bound to a profile, ranks
+    every field's mask as the rule ranks the restriction the oracles build:
+    its code orders name exactly those rankings."""
+    for p in [*fixtures.values(), *corpus[:80]]:
+        code_of = {c: k for k, c in enumerate(p.candidates)}
+        for rid in ranking_ids(p.n):
+            f = resolve_spf(rid)
+            on = f._on(p)
+            for k in range(1, p.m + 1):
+                for field in combinations(p.candidates, k):
+                    orders = on(sum(1 << code_of[c] for c in field))
+                    named = {tuple(p.candidates[c] for c in order) for order in orders}
+                    assert named == f(brute_restrict(p, field)), (rid, p, field)
