@@ -18,17 +18,16 @@ joined profile takes its core from the profile's
 (:func:`clonelab.profiles.add_voter`).
 
 ``cc``, ``ioc``, ``isda``, ``cc_spf`` and ``ioc_spf`` elect each removal,
-block and block summary once, as a mask on the profile's own core
-(:class:`clonelab.transform._Elector`); a decomposition is a tiling of voter
-1's ranking by clone intervals, rankings stay code orders (``ioc_spf``
-collapses a clone set on them) and only witnesses are named.  ``isda_ca``
-counts a removal's clone sets on the core's rankings cut to it.
+block and block summary once, as a mask on the profile's own core, through
+the memo of one :class:`clonelab.transform._Elector`; a decomposition is a
+tiling of voter 1's ranking by clone intervals, rankings stay code orders
+(``ioc_spf`` collapses a clone set on them) and only witnesses are named.
+``isda_ca`` counts a removal's clone sets on the core's rankings cut to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, count, permutations, product
 
 from .clones import EnumerationCapExceeded, _clone_intervals, _tilings, clone_structure
@@ -90,14 +89,11 @@ def check_ioc(rule, profile: Profile) -> AxiomVerdict:
     """Independence of clones: deleting one clone never changes whether its
     clone set wins, nor any outsider's fate."""
     elect = _Elector(rule, profile)
-    code = _codes(profile.candidates)
-    full = _full(profile)
+    code, full = _codes(profile.candidates), _full(profile)
     winners = _names(profile, elect(full))
-    # nested sets share removals
-    without = cache(lambda a: _names(profile, elect(full & ~(1 << code[a]))))
     for k in _nontrivial_clone_sets(profile):
-        for a in sorted(k):
-            reduced_winners = without(a)
+        for a in sorted(k):  # nested sets share removals, elected once
+            reduced_winners = _names(profile, elect(full & ~(1 << code[a])))
             base = {
                 "clone_set": sorted(k),
                 "removed": a,
@@ -117,15 +113,14 @@ def check_ioc(rule, profile: Profile) -> AxiomVerdict:
 def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     """Composition consistency: every two-level election over a partition
     into clone sets reproduces the rule's winners."""
-    elect = _Elector(rule, profile)
-    inner = cache(elect)  # by mask: blocks recur, and the one-block decomposition's is the profile
-    winners = inner(_full(profile))
+    elect = _Elector(rule, profile)  # blocks recur; the one-block tiling's is the profile
+    winners = elect(_full(profile))
     try:
         tilings = _tilings(profile, cap)
     except EnumerationCapExceeded as exc:
         return AxiomVerdict("cc", None, detail=str(exc))
-    for blocks, masks, won in _summaries(elect, inner, tilings):
-        composed = sum(inner(masks[r]) for r in _bits(won))  # disjoint
+    for blocks, masks, won in _summaries(elect, tilings):
+        composed = sum(elect(masks[r]) for r in _bits(won))  # disjoint
         if composed != winners:
             return AxiomVerdict(
                 "cc",
@@ -139,16 +134,15 @@ def check_cc(rule, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     return AxiomVerdict("cc", True)
 
 
-def _summaries(elect: _Elector, memo, tilings):
+def _summaries(elect: _Elector, tilings):
     """For each tiling of :func:`clonelab.clones._tilings`, each block's members
     and mask by its representative (the member voter 1 ranks first), and the
-    rule's answer on the block summary (a masked rule's: ``memo`` of the reps)."""
+    rule's answer on the block summary."""
     codes, first = elect.profile._core.ballots[0], elect.profile.groups[0][0]
     for tiling in tilings:
         blocks = {codes[a]: first[a:b] for a, b in tiling}
         masks = {codes[a]: sum(1 << c for c in codes[a:b]) for a, b in tiling}
-        shown = sum(1 << r for r in blocks)
-        yield blocks, masks, memo(shown) if hasattr(elect.rule, "_on") else elect(shown, blocks)
+        yield blocks, masks, elect(sum(1 << r for r in blocks), blocks)
 
 
 def check_condorcet(rule, profile: Profile) -> AxiomVerdict:
@@ -341,12 +335,12 @@ def check_ioc_spf(spf, profile: Profile) -> AxiomVerdict:
     full, z = _full(profile), profile.m  # z: the code of the collapsed block, no candidate's
     try:
         base = elect(full)
-        without = cache(lambda a: elect(full & ~(1 << code[a])))  # as in check_ioc
         for k in _nontrivial_clone_sets(profile):
             block = {code[c] for c in k}
             collapsed = frozenset(neg(r, block, z) for r in base)
-            for a in sorted(k):
-                collapsed_reduced = frozenset(neg(r, block - {code[a]}, z) for r in without(a))
+            for a in sorted(k):  # as in check_ioc
+                without = elect(full & ~(1 << code[a]))
+                collapsed_reduced = frozenset(neg(r, block - {code[a]}, z) for r in without)
                 if collapsed != collapsed_reduced:
                     names = (*profile.candidates, _fresh_name(profile))
                     return AxiomVerdict(
@@ -367,12 +361,11 @@ def check_ioc_spf(spf, profile: Profile) -> AxiomVerdict:
 def check_cc_spf(spf, profile: Profile, cap: int = 10**6) -> AxiomVerdict:
     """Ranking-level composition consistency: rank the blocks, rank inside
     each block, and splice — the result must be exactly the rule's rankings."""
-    elect = _Elector(resolve_spf(spf), profile)
-    ranked = cache(elect)  # by mask, as in check_cc
+    elect = _Elector(resolve_spf(spf), profile)  # as in check_cc
     try:
-        base = ranked(_full(profile))
-        for blocks, masks, metas in _summaries(elect, ranked, _tilings(profile, cap)):
-            inner = {r: ranked(mask) for r, mask in masks.items()}
+        base = elect(_full(profile))
+        for blocks, masks, metas in _summaries(elect, _tilings(profile, cap)):
+            inner = {r: elect(mask) for r, mask in masks.items()}
             composed = {
                 tuple(chain.from_iterable(combo))
                 for meta in metas

@@ -55,15 +55,15 @@ class EnumerationCapExceeded(RuntimeError):
 
 def is_clone_set(profile: Profile, members: frozenset[str] | set[str]) -> bool:
     """True when ``members`` is non-empty and consecutive on every ballot."""
-    k = len(_name_collection(members, "members"))
-    if k == 0:
-        return False
-    unknown = set(members) - set(profile.candidates)
+    members = set(_name_collection(members, "members"))  # a repeated name counts once
+    unknown = members - set(profile.candidates)
     if unknown:
         raise ValueError(f"unknown candidate(s) {sorted(unknown)}")
-    first, table = profile.groups[0][0], _clone_intervals(profile)[1]
+    if not members:
+        return False
+    first, k = profile.groups[0][0], len(members)
     i = min(map(first.index, members))
-    return set(first[i : i + k]) == set(members) and table[i][i + k]
+    return set(first[i : i + k]) == members and _clone_intervals(profile)[1][i][i + k]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

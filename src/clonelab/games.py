@@ -38,11 +38,11 @@ seats, the majority digraphs and the elimination memo serve every field,
 and the margin rows are counted only where they are read (a plain
 ``stv_i`` game reads them only to orient a Q node of the profile's tree).
 A ``^cc`` id's entry walks each field's own table of clone intervals, cut
-from the core, and elects each node's blocks as a mask of the profile
-(:mod:`clonelab.transform`).  Any other callable is shown each field as a
-profile cut from the core with no name checks
-(:func:`clonelab.profiles._derive`), its margin rows cut from the
-profile's, counted once.  The staged form walks the profile's own table the
+from the core, and elects each node's blocks as a mask of the profile, each
+distinct mask once per game (:mod:`clonelab.transform`).  Any other callable
+is shown each field as a profile cut from the core with no name checks
+(:func:`clonelab.profiles._derive`), its margin rows cut from the profile's,
+counted once.  The staged form walks the profile's own table the
 same way, so no game builds a PQ-tree: building a game splits each
 internal node once (:func:`clonelab.pqtree._split`, a Q node's children in
 majority reading order) and keeps its kind and children as intervals of

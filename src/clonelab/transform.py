@@ -13,9 +13,8 @@ walking the profile's PQ-tree:
   order — picking the first keeps it, picking the second jumps to the far
   end of the string, and a tie keeps every child in play.
 
-Each visited internal node costs exactly one call of f (of its masked entry,
-for a registered rule), on as many candidates as the node has children (two
-for Q nodes).
+Each visited internal node asks :class:`_Elector` once for f's choice, on as
+many candidates as the node has children (two for Q nodes).
 
 The walk never builds the tree.  Every node is an interval ``[i, j)`` of
 voter 1's ranking of the field walked (the profile, or any subset for the
@@ -98,11 +97,12 @@ class _Elector:
     the profile at the first call, and reads only the mask.  Any other
     callable is shown the profile restricted to the mask or, given ``blocks``
     (each representative's code → its block's members), the block summary,
-    equal to what :func:`clonelab.profiles.restrict` and
-    :func:`clonelab.profiles.summarize` make, each by one derivation
-    (:func:`clonelab.profiles._derive`), and the profile itself, not a copy,
-    where that is what it would be shown; its answer is read back in codes.
-    ``calls`` counts the calls made of the entry or of the rule.
+    as :func:`clonelab.profiles.restrict` and :func:`clonelab.profiles.summarize`
+    make them, by one derivation each (:func:`clonelab.profiles._derive`), or
+    the profile itself where that is what it would be shown; its answer is
+    read back in codes.  Answers are kept by mask, so each mask is elected
+    once per elector; a plain callable's block summary, which names its
+    blocks, is elected afresh and never kept.  ``calls`` counts the elections.
     """
 
     def __init__(self, rule: str | Rule, profile: Profile) -> None:
@@ -110,28 +110,35 @@ class _Elector:
         self.profile = profile
         self.calls = 0
         self._entry = getattr(self.rule, "_on", None)
-        self._bound: Callable[[int], int] | None = None
+        self._bound = None if self._entry else partial(_adapted, self.rule, profile)
+        self._answers: dict = {}  # mask -> answer
 
     def __call__(self, mask: int, blocks: dict[int, Iterable[str]] | None = None):
-        self.calls += 1
-        if self._entry is not None:
-            if self._bound is None:
-                self._bound = self._entry(self.profile)
-            return self._bound(mask)
-        profile = self.profile
-        if blocks is None:
-            profile._core.rows  # counted once, so that every field's are cut from them
-            keep = _bits(mask)
-            names = tuple(map(profile.candidates.__getitem__, keep))
-        else:  # the representatives in voter 1's order
-            keep = [c for c in profile._core.ballots[0] if c in blocks]
-            names = tuple(block_name(blocks[c]) for c in keep)
-        shown = profile if names == profile.candidates else _derive(profile, keep, names)
-        code_of = dict(zip(names, keep)).__getitem__
-        answer = self.rule(shown)
-        if isinstance(next(iter(answer), ""), str):  # winners
-            return sum(1 << code_of(w) for w in answer)
-        return frozenset(tuple(map(code_of, ranking)) for ranking in answer)
+        if blocks is not None and self._entry is None:  # a plain block summary: never kept
+            self.calls += 1
+            return self._bound(mask, blocks)
+        if mask not in self._answers:
+            self.calls += 1
+            self._bound = self._bound or self._entry(self.profile)
+            self._answers[mask] = self._bound(mask)
+        return self._answers[mask]
+
+
+def _adapted(rule: Rule, profile: Profile, mask: int, blocks: dict | None = None):
+    """A plain callable's answer in codes, as :class:`_Elector` shows it the field."""
+    if blocks is None:
+        profile._core.rows  # counted once, so that every field's are cut from them
+        keep = _bits(mask)
+        names = tuple(map(profile.candidates.__getitem__, keep))
+    else:  # the representatives in voter 1's order
+        keep = [c for c in profile._core.ballots[0] if c in blocks]
+        names = tuple(block_name(blocks[c]) for c in keep)
+    shown = profile if names == profile.candidates else _derive(profile, keep, names)
+    code_of = dict(zip(names, keep)).__getitem__
+    answer = rule(shown)
+    if isinstance(next(iter(answer), ""), str):  # winners
+        return sum(1 << code_of(w) for w in answer)
+    return frozenset(tuple(map(code_of, ranking)) for ranking in answer)
 
 
 def composition_product(rule: str | Rule, profile: Profile, decomposition) -> WinnerSet:

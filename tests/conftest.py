@@ -184,6 +184,23 @@ def count_calls(codes, fn, *args):
     return result, counts
 
 
+def masks_asked(code, fn, *args) -> list[int]:
+    """Run ``fn(*args)``; returns the ``mask`` argument of each call of the
+    function of code object ``code`` it made, in call order."""
+    masks = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            masks.append(frame.f_locals["mask"])
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return masks
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[Profile]:
     return build_corpus()

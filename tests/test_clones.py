@@ -23,6 +23,8 @@ def test_is_clone_set():
     assert is_clone_set(p, set(p.candidates))
     assert not is_clone_set(p, {"a", "c"})
     assert not is_clone_set(p, set())
+    assert is_clone_set(p, ["a", "a"])  # a repeated name counts once
+    assert is_clone_set(p, ["b", "c", "b"])
     with pytest.raises(ValueError):
         is_clone_set(p, {"z"})
 

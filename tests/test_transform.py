@@ -14,13 +14,14 @@ from clonelab.pqtree import PQNode, build_pqtree, internal_nodes, serialize_tree
 from clonelab.scf import pv, rp_i, stv, uc_gillies
 from clonelab.transform import (
     RULE_IDS,
+    _Elector,
     cc_transform,
     composition_product,
     resolve_rule,
     rule_label,
 )
 
-from conftest import count_calls, rule_ids
+from conftest import build_game_profiles, count_calls, masks_asked, rule_ids
 from oracles import brute_cc_transform
 
 
@@ -233,6 +234,58 @@ def test_cc_ids_and_removals_derive_no_profile(fixtures):
         _, made = count_calls((derive,), GameSpec, p, plain)
         assert made[derive] == len(shown) - 1 == 2**p.m - 2, name
         assert shown.count(p) == 1 and shown[-1] is p, name
+
+
+def test_cc_bindings_elect_each_inner_mask_once(fixtures):
+    """A ``^cc`` id's binding keeps its inner rule's answers by mask, so a
+    game's fields and a check's removals, blocks and summaries, whose walks
+    show the same representatives again and again, call the inner masked
+    entry once per distinct mask, and the totals are pinned."""
+    games = build_game_profiles()
+    for rid in ("rp_i:1", "stv_i:1"):
+        for form in ("gamma", "lambda"):
+            made = 0
+            for p in games:
+                entry = resolve_rule(rid)._on(p).__code__  # shared by every binding
+                masks = masks_asked(entry, GameSpec, p, rid + "^cc", form)
+                assert len(masks) == len(set(masks)), (rid, form, p)
+                made += len(masks)
+            assert made == 327, (rid, form)
+    checks = (check_cc, check_ioc, check_isda_ca)
+    pinned = {"rp_i:1": (17, 28, 14), "stv_i:1": (15, 26, 12), "pv": (21, 29, 15)}
+    for rid, totals in pinned.items():
+        made = dict.fromkeys(checks, 0)
+        for p in (fixtures[f"P{k}"] for k in range(1, 10)):
+            entry = resolve_rule(rid)._on(p).__code__
+            for check in checks:
+                masks = masks_asked(entry, check, rid + "^cc", p)
+                assert len(masks) == len(set(masks)), (rid, check, p)
+                made[check] += len(masks)
+        assert tuple(made.values()) == totals, rid
+
+
+def test_elector_keeps_restrictions_not_plain_summaries(fixtures):
+    """The elector answers each mask once, an empty answer included; a plain
+    callable's block summary, which names its blocks, is shown afresh every
+    time and never answers for the restriction to its mask."""
+    p = fixtures["P2"]
+    full = (1 << p.m) - 1
+    singletons = {c: [name] for c, name in enumerate(p.candidates)}
+    shown = []
+
+    def nobody(profile):
+        shown.append(profile)
+        return frozenset()
+
+    elect = _Elector(nobody, p)
+    assert [elect(full), elect(full)] == [0, 0]
+    assert len(shown) == elect.calls == 1 and shown[0] is p
+    assert [elect(full, singletons), elect(full, singletons), elect(full)] == [0, 0, 0]
+    assert len(shown) == elect.calls == 3
+    entry = resolve_rule("pv")._on(p).__code__  # a masked entry reads only the mask
+    elect = _Elector("pv", p)
+    _, made = count_calls((entry,), lambda: [elect(full, singletons), elect(full), elect(full)])
+    assert made[entry] == elect.calls == 1
 
 
 def test_clone_independent_rules_are_fixed_points(corpus):
