@@ -3,14 +3,14 @@
 A set of candidates is a *clone set* when every ballot ranks its members
 consecutively (no outsider wedged between two members).  Singletons and the
 full candidate set always qualify.  Each clone set is an interval of voter
-1's ranking, so one table of those intervals holds the whole structure: each
-interval grows from its start one candidate at a time while every distinct
-ballot tracks its members' lowest and highest position (O(k·m²) for k
-ballots at most; the scan from a start stops once every interval from it has
-an outsider inside on some ballot, which on unstructured profiles is after a
-few ballots).  Partitions into clone sets are the tilings of voter 1's ranking
-by those intervals, listed as intervals by :func:`_tilings` and named by
-:func:`enumerate_decompositions`.
+1's ranking, so one table of those intervals holds the whole structure.  It
+checks an interval on all k distinct ballots at once, with one integer per
+candidate holding a one-bit field per ballot at its place there: the OR of
+the members' integers is one run of ones in every field.  Screening every
+interval on the 16 ballots after voter 1's and confirming the survivors on
+all k takes O(m²) operations on integers, whatever k is.  Partitions into
+clone sets are the tilings of voter 1's ranking by those intervals, listed as
+intervals by :func:`_tilings` and named by :func:`enumerate_decompositions`.
 
 The table is kept, for the 256 most recent profiles, keyed by ``m`` and the
 places each distinct ballot gives voter 1's candidates, run together into
@@ -24,8 +24,8 @@ staged game (:mod:`clonelab.games`) all read it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, compress
 
 from .profiles import Profile, _name_collection
 
@@ -47,6 +47,9 @@ __all__ = [
 
 
 _CACHE_SIZE = 256  # profiles per cache; hits in long sweeps are to recent ones
+_SAMPLE = 16  # distinct ballots every interval is screened on before the rest confirm it
+# _PLACE_BITS[b] maps a place p to byte b of a field holding bit p alone
+_PLACE_BITS = [bytes(8 * b) + bytes(1 << e for e in range(8)) + bytes(248 - 8 * b) for b in range(32)]
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -72,30 +75,47 @@ def _interval_table(m: int, flat) -> tuple[tuple[bool, ...], ...]:
     voter 1 ranks at places ``i`` to ``j - 1`` (0 <= i < j <= m) form a clone
     set, read from a core's ``positions()`` run together, ``m`` to a ballot, as ``flat``.
 
+    An interval is a clone set when the OR ``s`` of its :func:`_columns` on n
+    ballots has 2n bits set in ``s ^ s << 1`` (one run per field): screened on
+    the ``_SAMPLE`` ballots after voter 1's, then the nontrivial survivors on all.
+
     The key holds places only, no names or codes, so profiles that differ
     by renaming, by the order their candidates are listed or by the voter
     counts share one entry, and no entry keeps a profile alive."""
-    others = [flat[k : k + m] for k in range(m, len(flat), m)]  # voter 1's own splits none
-    table = []
+    others = flat[m:]  # voter 1's own ballot splits no interval
+    k, w = len(others) // m, (m + 8) // 8  # a field keeps a clear guard bit above place m - 1
+    wide = (2,) if w > 8 else ()  # past 63 candidates, screening on two ballots first pays
+    first, *more = sorted({min(k, n) for n in (*wide, _SAMPLE, k)})
+    cols, table = _columns(m, others[: first * m], w), []
     for i in range(m):
-        spread = [j - 1 - i for j in range(m + 1)]  # widest span of places i..j-1 so far
-        top = m if i else m - 1  # last end of a nontrivial interval still unsplit
-        for pos in others:
-            if top < i + 2:
-                break
-            lo = hi = pos[i]
-            for j in range(i + 2, top + 1):
-                x = pos[j - 1]
-                if x < lo:
-                    lo = x
-                elif x > hi:
-                    hi = x
-                if hi - lo > spread[j]:
-                    spread[j] = hi - lo
-            while top > i + 1 and spread[top] != top - 1 - i:
-                top -= 1  # spans only widen: an interval once split stays split
-        table.append(tuple(j > i and spread[j] == j - 1 - i for j in range(m + 1)))
-    return tuple(table)
+        s, row = 0, [False] * (i + 1)
+        for c in cols[i:]:
+            s |= c
+            row.append((s ^ s << 1).bit_count() == 2 * first)
+        table.append(row)
+    for n in more:
+        cols = None  # built once some interval is left to confirm
+        for i, row in enumerate(table):
+            s, at = 0, i
+            for j in compress(range(i + 2, m + (i > 0)), row[i + 2 :]):
+                cols = cols or _columns(m, others[: n * m], w)
+                s, at = reduce(int.__or__, cols[at:j], s), j
+                row[j] = (s ^ s << 1).bit_count() == 2 * n
+    return tuple(map(tuple, table))
+
+
+def _columns(m: int, flat, w: int) -> list[int]:
+    """For each of voter 1's places x, one integer with a ``w``-byte field per
+    ballot of ``flat``, the first lowest, holding one bit at the place it gives x."""
+    n, out = len(flat) // m * w, bytearray(len(flat) * w)  # m columns of n bytes each
+    if isinstance(flat, bytes):  # no loop over ballots: one translation per byte of field
+        by_place = b"".join(flat[x::m] for x in range(m))
+        for b in range((m + 7) // 8):
+            out[b::w] = by_place.translate(_PLACE_BITS[b])
+    else:
+        for f, p in enumerate(chain.from_iterable(flat[x::m] for x in range(m))):
+            out[f * w + (p >> 3)] = 1 << (p & 7)
+    return [int.from_bytes(out[x * n : x * n + n], "little") for x in range(m)]
 
 
 def _clone_intervals(profile: Profile, mask: int | None = None) -> tuple:

@@ -281,11 +281,11 @@ class _Core:
         """For each distinct ranking, cut to the codes ``keep`` when given, the
         position of each of voter 1's candidates on it: ``positions()[k][x]``
         places voter 1's x-th choice.  Computed afresh on each call rather
-        than kept.  It holds no names or codes, so, run together into one
-        sequence, it keys the table of clone intervals
-        (:func:`clonelab.clones._interval_table`) that the tree and the
-        transform's walk read; the last places that order a P node's
-        children are counted from it too."""
+        than kept.  It holds no names or codes, so, run together as ``flat``,
+        it keys the table of clone intervals that the tree and the transform's
+        walk read (:func:`clonelab.clones._interval_table`, whose column
+        ``flat[x::m]`` places voter 1's x-th choice on every ballot); the last
+        places that order a P node's children are counted from it too."""
         ballots = self.ballots if keep is None else self.cut(keep)
         first = ballots[0]
         if isinstance(first, bytes):  # code -> position as a translation table

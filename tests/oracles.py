@@ -120,6 +120,27 @@ def brute_clone_sets(profile: Profile) -> frozenset[frozenset[str]]:
     return frozenset(out)
 
 
+def brute_interval_table(profile: Profile, mask: int | None = None) -> tuple[tuple[bool, ...], ...]:
+    """The clone intervals by definition, over the field of the candidates
+    whose codes (places in ``profile.candidates``) are set in ``mask`` (all
+    by default): ``t[i][j]`` holds when the candidates voter 1 ranks at
+    places ``i..j-1`` of the field are consecutive on every group's ranking
+    cut to the field, that is when their places there span ``j - i``."""
+    field = {c for k, c in enumerate(profile.candidates) if mask is None or mask >> k & 1}
+    rankings = [[c for c in ranking if c in field] for ranking, _ in profile.groups]
+    first, m = rankings[0], len(field)
+    places = [{c: k for k, c in enumerate(ranking)} for ranking in rankings]
+    table = []
+    for i in range(m):
+        row, lo, hi = [False] * (m + 1), [m] * len(places), [-1] * len(places)
+        for j in range(i + 1, m + 1):  # the lowest and highest place of first[i:j] on each
+            at = [p[first[j - 1]] for p in places]
+            lo, hi = list(map(min, lo, at)), list(map(max, hi, at))
+            row[j] = all(h - l == j - i - 1 for l, h in zip(lo, hi))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 _recent_clone_sets = lru_cache(maxsize=16)(brute_clone_sets)  # a profile's pairs share one scan
 
 

@@ -1,3 +1,7 @@
+import random
+from itertools import permutations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from clonelab.clones import (
     EnumerationCapExceeded,
     canonical_decomposition,
+    _clone_intervals,
     clone_metric,
     clone_structure,
     enumerate_decompositions,
@@ -12,7 +17,7 @@ from clonelab.clones import (
 )
 from clonelab.profiles import Profile, parse_profile, restrict
 
-from oracles import brute_clone_sets, brute_decompositions, nonempty_subsets
+from oracles import brute_clone_sets, brute_decompositions, brute_interval_table, nonempty_subsets
 
 
 def test_is_clone_set():
@@ -59,6 +64,88 @@ def test_is_clone_set_past_256_candidates():
     verdicts = [is_clone_set(p, s) for s in picks]
     assert verdicts == [_consecutive(p, s) for s in picks]
     assert True in verdicts and False in verdicts
+
+
+def _planted(rng: random.Random, names: list[str]) -> list:
+    """A random laminar family of blocks over ``names``, as nested lists."""
+    if len(names) == 1:
+        return names
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(1, min(3, len(names) - 1))))
+    return [_planted(rng, names[a:b]) for a, b in zip([0, *cuts], [*cuts, len(names)])]
+
+
+def _keeping(rng: random.Random, tree) -> list[str]:
+    """A ranking that keeps every block of ``tree`` whole."""
+    if isinstance(tree, str):
+        return [tree]
+    return [c for block in rng.sample(tree, len(tree)) for c in _keeping(rng, block)]
+
+
+def _distinct_profile(rng: random.Random, m: int, k: int) -> Profile:
+    """``k`` distinct rankings over ``m`` names (all m! if fewer), voter 1's
+    first.  Voter 1's and the 16 after it, those the table screens on, keep
+    a planted family of blocks whole; later ones may have two neighbours
+    swapped, splitting a block, or be any ranking."""
+    names = [f"c{x}" for x in range(m)]
+    tree, seen = _planted(rng, rng.sample(names, m)), {}
+    while len(seen) < min(k, factorial(m)):
+        ranking, late = _keeping(rng, tree), len(seen) > 16
+        if late and rng.random() < 0.3:
+            x = rng.randrange(m - 1)
+            ranking[x : x + 2] = ranking[x + 1], ranking[x]
+        if late and rng.random() < 0.05:
+            ranking = rng.sample(names, m)
+        seen.setdefault(tuple(ranking), rng.randint(1, 3))
+    return Profile(tuple(rng.sample(names, m)), tuple(seen.items()))
+
+
+def _check_table(p: Profile, mask: int | None = None) -> None:
+    first, table, _ = _clone_intervals(p, mask)
+    want = brute_interval_table(p, mask)
+    assert table == want, (p.m, len(p.groups), mask)
+    cut = [p.candidates[c] for c in first]
+    assert cut == [c for c in p.groups[0][0] if mask is None or mask >> p.candidates.index(c) & 1]
+
+
+def test_interval_table_matches_definition(fixtures):
+    """Every field of P1-P9, and seeded profiles of 1 to 300 distinct
+    ballots over m candidates, m crossing the field widths at 8 and 16, at
+    64 (where a two-ballot screen comes first) and the tuple-coded cores
+    past 256, with random fields of each: the table equals the definition.
+    Some interval kept by the 16 ballots screened after voter 1's falls to a
+    later one, so the pass that confirms the screen is exercised."""
+    for p in fixtures.values():
+        for mask in range(1, 1 << p.m):
+            _check_table(p, mask)
+    rng = random.Random(2028)
+    late = 0
+    for m in (1, 2, 7, 8, 9, 15, 16, 17, 24, 64):
+        for k in (1, 2, 16, 17, 18, 40, 300):
+            p = _distinct_profile(rng, m, k)
+            assert len(p._core.ballots) == min(k, factorial(m))
+            for mask in (None, *(rng.randrange(1, 1 << m) for _ in range(3))):
+                _check_table(p, mask)
+            if k > 17 and m > 2:
+                kept = brute_interval_table(Profile(p.candidates, p.groups[:17]))
+                late += kept != _clone_intervals(p)[1]
+    wide = _distinct_profile(rng, 257, 20)
+    assert not isinstance(wide._core.ballots[0], bytes)
+    _check_table(wide)
+    _check_table(wide, (1 << 257) - 1 - (1 << 3) - (1 << 200))  # a tuple core cut to 255
+    assert late >= 10, late
+
+
+def test_a_later_ballot_splits_what_the_first_sixteen_keep():
+    """Voter 1's ballot and the sixteen distinct ballots after it, those the
+    table screens on, keep a and b together; the next wedges c between them,
+    so {a, b} is no clone set."""
+    kept = [r for r in permutations("abcde") if abs(r.index("a") - r.index("b")) == 1][:17]
+    head = Profile(kept[0], tuple((r, 1) for r in kept))
+    assert frozenset("ab") in clone_structure(head) and is_clone_set(head, {"a", "b"})
+    p = Profile(kept[0], tuple((r, 1) for r in [*kept, tuple("acbde")]))
+    assert len(p._core.ballots) == 18 and frozenset("ab") not in clone_structure(p)
+    assert not is_clone_set(p, {"a", "b"})
+    assert clone_structure(p) == brute_clone_sets(p)
 
 
 def test_clone_metric_rejects_unknown_candidates():
